@@ -65,8 +65,6 @@ def _add_io_flags(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
                        help="path to a tensor or hypergraph JSON file ('-' for stdin)")
     p.add_argument("--output", default=None,
                    help="destination path (default: stdout)")
-    p.add_argument("--format", default="json", choices=["json"],
-                   help="output format (json only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,21 +168,24 @@ def _run_convert_certificate(args) -> None:
     obj = _load_input(args.input)
     cert_data = _read_json(args.cert)
     kind = cert_data.get("kind") if isinstance(cert_data, dict) else None
-    if kind == "odd-coloring":
-        phi = OddColoring.from_json_dict(cert_data)
-        if not verify_certificate(obj, phi):
-            raise ValueError("coloring does not verify against the input; "
-                             "conversion needs a valid certificate")
-        converted = coloring_to_transversal(phi)
-    elif kind == "odd-transversal":
-        x = OddTransversal.from_json_dict(cert_data, n=obj.n)
-        if not verify_certificate(obj, x):
-            raise ValueError("transversal does not verify against the input; "
-                             "conversion needs a valid certificate")
-        converted = transversal_to_coloring(x, obj.r)
+    try:
+        if kind == "odd-coloring":
+            cert = OddColoring.from_json_dict(cert_data)
+        elif kind == "odd-transversal":
+            cert = OddTransversal.from_json_dict(cert_data, n=obj.n)
+        else:
+            raise _UsageError(f"certificate kind must be 'odd-coloring' or "
+                              f"'odd-transversal', got {kind!r}")
+    except KeyError as exc:
+        raise _UsageError(f"certificate of kind {kind!r} lacks the key {exc}") from exc
+    if not verify_certificate(obj, cert):
+        what = "coloring" if kind == "odd-coloring" else "transversal"
+        raise ValueError(f"{what} does not verify against the input; "
+                         "conversion needs a valid certificate")
+    if isinstance(cert, OddColoring):
+        converted = coloring_to_transversal(cert)
     else:
-        raise _UsageError(f"certificate kind must be 'odd-coloring' or "
-                          f"'odd-transversal', got {kind!r}")
+        converted = transversal_to_coloring(cert, obj.r)
     if not verify_certificate(obj, converted):
         raise RuntimeError("internal error: converted certificate does not verify")
     _emit(converted.to_json_dict(), args.output)

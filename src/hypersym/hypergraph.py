@@ -2,17 +2,17 @@
 
 An r-graph has edges that are r-element vertex subsets.  Its adjacency
 tensor places 1 at every permutation of every edge, so graph-level parity
-questions coincide with the tensor-level ones.
+questions coincide with the tensor-level ones.  The tensor is stored by
+orbit, one value per edge.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .parity import OddColoring
-from .tensor import CubicalTensor
+from .tensor import CubicalTensor, ExactComplex, is_weakly_irreducible
 
 __all__ = [
     "Hypergraph", "adjacency_tensor", "is_connected",
@@ -27,9 +27,9 @@ class Hypergraph:
     __slots__ = ("r", "n", "_edges")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
-        if not isinstance(r, int) or r < 2:
+        if type(r) is not int or r < 2:
             raise ValueError(f"uniformity r must be an integer >= 2, got {r}")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"order n must be an integer >= 1, got {n}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
@@ -39,8 +39,9 @@ class Hypergraph:
             if len(e) != r or len(set(e)) != r:
                 raise ValueError(f"edge {tuple(edge)} must have {r} distinct vertices")
             for v in e:
-                if not isinstance(v, int) or not 1 <= v <= n:
-                    raise ValueError(f"vertex {v} out of range 1..{n} in edge {e}")
+                # type(v) is int, not isinstance: a bool is not a vertex
+                if type(v) is not int or not 1 <= v <= n:
+                    raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {e}")
             canon.add(e)
         object.__setattr__(self, "_edges", tuple(sorted(canon)))
 
@@ -74,30 +75,20 @@ class Hypergraph:
             r, n, edges = data["r"], data["n"], data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"hypergraph JSON must have keys r, n, edges: {exc}") from exc
-        return cls(r, n, [tuple(e) for e in edges])
+        if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+            raise ValueError("hypergraph JSON 'edges' must be a list of vertex lists")
+        return cls(r, n, edges)
 
 
 def adjacency_tensor(g: Hypergraph) -> CubicalTensor:
     """Symmetric 0/1 tensor with value 1 at every permutation of every edge."""
-    items = [(perm, 1) for edge in g.edges for perm in permutations(edge)]
-    return CubicalTensor(g.r, g.n, items)
+    one = ExactComplex(1)
+    return CubicalTensor.from_orbits(g.r, g.n, [(edge, one) for edge in g.edges])
 
 
 def is_connected(g: Hypergraph) -> bool:
     """Connectivity of the co-edge (2-section) graph on [n]."""
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.n + 1)}
-    for edge in g.edges:
-        for u in edge:
-            adj[u].update(w for w in edge if w != u)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.n
+    return is_weakly_irreducible(adjacency_tensor(g))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def support_patterns(obj) -> list[tuple[int, ...]]:
     distinct multiset suffices; hypergraph edges are already such multisets.
     """
     if isinstance(obj, CubicalTensor):
-        return sorted({tuple(sorted(idx)) for idx in obj.entries})
+        return list(obj._patterns())
     edges = getattr(obj, "edges", None)
     if edges is not None:
         return list(edges)

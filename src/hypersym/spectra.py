@@ -16,7 +16,7 @@ import numpy as np
 
 from .parity import (ColoringInfeasible, OddColoring, OddTransversal,
                      odd_coloring, verify_certificate)
-from .tensor import (CubicalTensor, components, eigen_residual,
+from .tensor import (CubicalTensor, apply_array, components, eigen_residual,
                      is_symmetric, is_weakly_irreducible)
 
 __all__ = [
@@ -96,24 +96,13 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     n, r = a.n, a.r
     p = r - 1
-    m = len(a.entries)
-    rows = np.empty(m, dtype=np.intp)
-    cols = np.empty((m, p), dtype=np.intp)
-    vals = np.empty(m, dtype=np.float64)
-    for t, (idx, v) in enumerate(a.entries.items()):
-        rows[t] = idx[0] - 1
-        cols[t] = [j - 1 for j in idx[1:]]
-        vals[t] = float(v.re)
     shift = 1.0 + max((float(v.re) for v in a.diagonal()), default=0.0)
 
     x = np.full(n, n ** (-1.0 / r))
     lo = hi = math.nan
     for it in range(max_iter):
-        f = np.zeros(n)
-        if m:
-            np.add.at(f, rows, vals * np.prod(x[cols], axis=1))
         xp = x ** p
-        y = f + shift * xp
+        y = apply_array(a, x) + shift * xp
         ratios = y / xp
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift

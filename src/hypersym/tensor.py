@@ -1,10 +1,13 @@
 """Sparse cubical hypermatrices with exact entries, and their structural maps.
 
 A cubical hypermatrix of order ``n`` with ``r`` indices is a map
-``(j_1, ..., j_r) -> a_{j_1 ... j_r}`` on ``[n]^r``.  Entries are stored
-sparsely by index tuple and kept as exact complex rationals, so symmetry
-checks, diagonal similarities and polynomial work are exact; values degrade
-to floating point only inside iterative numerics.
+``(j_1, ..., j_r) -> a_{j_1 ... j_r}`` on ``[n]^r``.  Entries are kept as
+exact complex rationals, so symmetry checks, diagonal similarities and
+polynomial work are exact.  A general tensor is stored sparsely by index
+tuple; a symmetric one may be stored by orbit, one value per sorted index
+multiset, which is how hypergraph adjacency tensors are built.  Values
+degrade to floating point only inside iterative numerics, which all read
+one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -12,12 +15,17 @@ Eigenpairs follow the homogeneous eigenvalue equation
 """
 from __future__ import annotations
 
+import functools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[int, float, complex, Fraction, str, "ExactComplex"]
 
@@ -52,6 +60,9 @@ class ExactComplex:
         o = ExactComplex.coerce(other)
         return ExactComplex(self.re - o.re, self.im - o.im)
 
+    def __rsub__(self, other: Scalar) -> "ExactComplex":
+        return ExactComplex.coerce(other) - self
+
     def __mul__(self, other: Scalar) -> "ExactComplex":
         o = ExactComplex.coerce(other)
         return ExactComplex(self.re * o.re - self.im * o.im,
@@ -64,6 +75,9 @@ class ExactComplex:
             raise ZeroDivisionError("division by zero ExactComplex")
         return ExactComplex((self.re * o.re + self.im * o.im) / norm,
                             (self.im * o.re - self.re * o.im) / norm)
+
+    def __rtruediv__(self, other: Scalar) -> "ExactComplex":
+        return ExactComplex.coerce(other) / self
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -95,6 +109,9 @@ class ExactComplex:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
+        # A real value equals its real part, so it must hash like it too.
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
@@ -111,6 +128,9 @@ class ExactComplex:
         if self.im == 0:
             return f"ExactComplex({str(self.re)!r})"
         return f"ExactComplex({str(self.re)!r}, {str(self.im)!r})"
+
+
+_ZERO = ExactComplex(0)
 
 
 def _encode_component(f: Fraction) -> int | float | str:
@@ -144,65 +164,139 @@ def parse_value(obj) -> ExactComplex:
 Index = tuple[int, ...]
 
 
+def _check_shape(r, n) -> None:
+    # type(...) is int, not isinstance: a bool is an int but not a size
+    if type(r) is not int or r < 2:
+        raise ValueError(f"index count r must be an integer >= 2, got {r}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"order n must be an integer >= 1, got {n}")
+
+
+def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int, n: int,
+                by_orbit: bool) -> dict[Index, ExactComplex]:
+    """Validated, summed, zero-free and sorted ``key -> value`` storage.
+
+    Keys are index tuples, or their sorted forms when ``by_orbit``.
+    """
+    acc: dict[Index, ExactComplex] = {}
+    for idx, value in items:
+        key = tuple(idx)
+        if len(key) != r:
+            raise ValueError(f"index tuple {key} does not have length r={r}")
+        for j in key:
+            if type(j) is not int or not 1 <= j <= n:
+                raise ValueError(f"index {j!r} out of range 1..{n} in {key}")
+        if by_orbit:
+            key = tuple(sorted(key))
+        v = ExactComplex.coerce(value)
+        if key in acc:
+            acc[key] = acc[key] + v
+        else:
+            acc[key] = v
+    return {k: acc[k] for k in sorted(acc) if acc[k]}
+
+
+def _once(method):
+    """Compute a no-argument method once per tensor and keep it in ``_cache``."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        cache = self._cache
+        if name not in cache:
+            cache[name] = method(self)
+        return cache[name]
+
+    return cached
+
+
 class CubicalTensor:
     """Order-``n`` hypermatrix with ``r`` indices, stored sparsely.
 
     ``entries`` maps 1-based index tuples of length ``r`` to nonzero
     ExactComplex values.  Duplicate tuples given at construction are summed;
     exact zeros are pruned.  Instances are immutable.
+
+    The constructor stores the given tuples as they are.  ``from_orbits``
+    builds a symmetric tensor from one value per index multiset and stores
+    only those; its ``entries`` is a read-only view that expands the orbits
+    when first iterated.  Both forms compare and hash alike.  Derived data
+    (symmetry, support patterns, digraph, the float kernel of F) is computed
+    on first use and kept in ``_cache``, which equality and hashing ignore.
     """
 
-    __slots__ = ("r", "n", "_entries")
+    __slots__ = ("r", "n", "_entries", "_orbits", "_cache")
 
     def __init__(self, r: int, n: int,
                  entries: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]] = ()):
-        if not isinstance(r, int) or r < 2:
-            raise ValueError(f"index count r must be an integer >= 2, got {r}")
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"order n must be an integer >= 1, got {n}")
+        _check_shape(r, n)
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        self._set(r, n, _accumulate(items, r, n, by_orbit=False), None)
+
+    @classmethod
+    def from_orbits(cls, r: int, n: int,
+                    orbits: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]]
+                    ) -> "CubicalTensor":
+        """Symmetric tensor with value v at every ordering of each index multiset.
+
+        ``orbits`` maps index multisets, in any order, to values; multisets
+        given more than once are summed and exact zeros pruned.
+        """
+        _check_shape(r, n)
+        items = orbits.items() if isinstance(orbits, Mapping) else orbits
+        out = cls.__new__(cls)
+        out._set(r, n, None, _accumulate(items, r, n, by_orbit=True))
+        return out
+
+    def _set(self, r: int, n: int, entries, orbits) -> None:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        acc: dict[Index, ExactComplex] = {}
-        for idx, value in items:
-            key = tuple(idx)
-            if len(key) != r:
-                raise ValueError(f"index tuple {key} does not have length r={r}")
-            for j in key:
-                if not isinstance(j, int) or not 1 <= j <= n:
-                    raise ValueError(f"index {j} out of range 1..{n} in {key}")
-            v = ExactComplex.coerce(value)
-            if key in acc:
-                acc[key] = acc[key] + v
-            else:
-                acc[key] = v
-        clean = {k: acc[k] for k in sorted(acc) if acc[k]}
-        object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_orbits", orbits)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicalTensor is immutable")
 
+    def _store(self) -> dict[Index, ExactComplex]:
+        return self._entries if self._orbits is None else self._orbits
+
+    def _rebuild(self, n: int, items) -> "CubicalTensor":
+        """A tensor with this one's r and storage form."""
+        if self._orbits is None:
+            return CubicalTensor(self.r, n, items)
+        return CubicalTensor.from_orbits(self.r, n, items)
+
     @property
     def entries(self) -> Mapping[Index, ExactComplex]:
-        return MappingProxyType(self._entries)
+        if self._orbits is None:
+            return MappingProxyType(self._entries)
+        return _OrbitEntries(self)
 
     def entry(self, idx: Sequence[int]) -> ExactComplex:
-        return self._entries.get(tuple(idx), ExactComplex(0))
+        if self._orbits is None:
+            return self._entries.get(tuple(idx), _ZERO)
+        return self._orbits.get(tuple(sorted(idx)), _ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicalTensor):
             return NotImplemented
-        return (self.r, self.n, self._entries) == (other.r, other.n, other._entries)
+        if (self.r, self.n) != (other.r, other.n):
+            return False
+        if (self._orbits is None) == (other._orbits is None):
+            return self._store() == other._store()
+        return self._symmetric_orbits() == other._symmetric_orbits()
 
     def __hash__(self) -> int:
-        return hash((self.r, self.n, tuple(self._entries.items())))
+        orbits = self._symmetric_orbits()
+        body = self._entries if orbits is None else orbits
+        return hash((self.r, self.n, tuple(body.items())))
 
     def __neg__(self) -> "CubicalTensor":
-        return CubicalTensor(self.r, self.n,
-                             [(idx, -v) for idx, v in self._entries.items()])
+        return self._rebuild(self.n, [(idx, -v) for idx, v in self._store().items()])
 
     def __repr__(self) -> str:
-        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={len(self._entries)})"
+        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={len(self.entries)})"
 
     # -- convenience constructors ----------------------------------------
     @classmethod
@@ -217,11 +311,13 @@ class CubicalTensor:
                 items.append(((i, j), v))
         return cls(2, n, items)
 
+    @_once
     def is_real(self) -> bool:
-        return all(v.is_real for v in self._entries.values())
+        return all(v.is_real for v in self._store().values())
 
+    @_once
     def is_nonnegative(self) -> bool:
-        return all(v.is_real and v.re >= 0 for v in self._entries.values())
+        return all(v.is_real and v.re >= 0 for v in self._store().values())
 
     def diagonal(self) -> list[ExactComplex]:
         """The r-fold diagonal [a_{11...1}, ..., a_{nn...n}]."""
@@ -237,11 +333,106 @@ class CubicalTensor:
         for v in vs:
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        if len(vs) == self.n:
+            return self
         pos = {v: i for i, v in enumerate(vs, start=1)}
         keep = set(vs)
-        items = [(tuple(pos[j] for j in idx), v)
-                 for idx, v in self._entries.items() if keep.issuperset(idx)]
-        return CubicalTensor(self.r, len(vs), items)
+        return self._rebuild(len(vs), [(tuple(pos[j] for j in idx), v)
+                                       for idx, v in self._store().items()
+                                       if keep.issuperset(idx)])
+
+    # -- cached derived data ---------------------------------------------
+    @_once
+    def _symmetric_orbits(self) -> dict[Index, ExactComplex] | None:
+        """The orbit map (sorted multiset -> value) if symmetric, else None."""
+        if self._orbits is not None:
+            return self._orbits
+        groups: dict[Index, list[ExactComplex]] = {}
+        for idx, v in self._entries.items():
+            groups.setdefault(tuple(sorted(idx)), []).append(v)
+        orbits = {}
+        for key in sorted(groups):
+            vals = groups[key]
+            first = vals[0]
+            if len(vals) != _multiset_permutation_count(key):
+                return None
+            if any(v != first for v in vals[1:]):
+                return None
+            orbits[key] = first
+        return orbits
+
+    @_once
+    def _patterns(self) -> tuple[Index, ...]:
+        """Distinct support multisets, sorted."""
+        if self._orbits is not None:
+            return tuple(self._orbits)
+        return tuple(sorted({tuple(sorted(idx)) for idx in self._entries}))
+
+    @_once
+    def _nnz(self) -> int:
+        return sum(_multiset_permutation_count(key) for key in self._store())
+
+    @_once
+    def _expanded(self) -> dict[Index, ExactComplex]:
+        """Every index tuple of an orbit-stored tensor, in sorted order."""
+        full = {idx: v for key, v in self._orbits.items()
+                for idx in set(permutations(key))}
+        return {idx: full[idx] for idx in sorted(full)}
+
+    @_once
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Index structure of F: ``(heads, tails, source, count)``, 0-based.
+
+        Row t adds value[source[t]] * count[t] * prod(x[tails[:, t]]) to
+        F(x)[heads[t]], where value lists the stored values in order.  Tuple
+        storage has one row per entry, and source and count are None.  Orbit
+        storage has one row per distinct head k of each orbit, and count is
+        the number of distinct orderings of the orbit with one k removed.
+        """
+        r = self.r
+        keys = np.array(list(self._store()), dtype=np.intp).reshape(-1, r) - 1
+        if self._orbits is None:
+            return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), None, None
+        same = keys[:, 1:] == keys[:, :-1]
+        # 1-based place of each position in its run of equal indices: the
+        # product over a row is the product of the multiplicities' factorials
+        place = np.ones(keys.shape)
+        for pos in range(1, r):
+            place[:, pos] = np.where(same[:, pos - 1], place[:, pos - 1] + 1, 1)
+        orderings = factorial(r) / place.prod(axis=1)
+        mult = (keys[:, :, None] == keys[:, None, :]).sum(axis=2)
+        first = np.ones(keys.shape, dtype=bool)
+        first[:, 1:] = ~same
+        source, pos = np.nonzero(first)
+        others = np.array([[c for c in range(r) if c != p] for p in range(r)],
+                          dtype=np.intp)
+        tails = keys[source[:, None], others[pos]].T
+        # orderings of the tail: r!/prod(m_i!) with m_k lowered by one
+        count = orderings[source] * mult[source, pos] / r
+        return keys[source, pos], np.ascontiguousarray(tails), source, count
+
+    @_once
+    def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float COO kernel of F: ``(heads, tails, weights)``."""
+        heads, tails, source, count = self._rows()
+        values = self._store().values()
+        if self.is_real():
+            vals = np.array([float(v.re) for v in values], dtype=np.float64)
+        else:
+            vals = np.array([complex(v) for v in values], dtype=np.complex128)
+        if source is not None:
+            vals = vals[source] * count
+        return heads, tails, vals
+
+    @_once
+    def _digraph(self) -> dict[int, set[int]]:
+        heads, tails, _source, _count = self._rows()
+        arcs = np.zeros((self.n, self.n), dtype=bool)
+        arcs[heads, tails] = True
+        succ: dict[int, set[int]] = {k: set() for k in range(1, self.n + 1)}
+        for k, j in zip(*(ix.tolist() for ix in np.nonzero(arcs))):
+            succ[k + 1].add(j + 1)
+        return succ
 
     # -- JSON -------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -249,7 +440,7 @@ class CubicalTensor:
             "r": self.r,
             "n": self.n,
             "entries": [{"i": list(idx), "v": encode_value(v)}
-                        for idx, v in self._entries.items()],
+                        for idx, v in self.entries.items()],
         }
 
     @classmethod
@@ -262,10 +453,45 @@ class CubicalTensor:
             raise ValueError("tensor JSON 'entries' must be a list")
         items = []
         for rec in raw:
-            if not isinstance(rec, dict) or "i" not in rec or "v" not in rec:
-                raise ValueError(f"tensor entry must be {{'i':..., 'v':...}}, got {rec!r}")
-            items.append((tuple(rec["i"]), parse_value(rec["v"])))
+            if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
+                    or "v" not in rec):
+                raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
+            items.append((rec["i"], parse_value(rec["v"])))
         return cls(r, n, items)
+
+
+class _OrbitEntries(Mapping):
+    """Read-only full-tuple view of an orbit-stored tensor.
+
+    Length, lookup and membership are answered from the orbits; iteration
+    walks the expansion, which is built on first use and kept.
+    """
+
+    __slots__ = ("_tensor",)
+
+    def __init__(self, tensor: CubicalTensor):
+        self._tensor = tensor
+
+    def __getitem__(self, idx) -> ExactComplex:
+        try:
+            return self._tensor._orbits[tuple(sorted(idx))]
+        except TypeError:
+            raise KeyError(idx) from None
+
+    def __len__(self) -> int:
+        return self._tensor._nnz()
+
+    def __iter__(self):
+        return iter(self._tensor._expanded())
+
+    def keys(self):
+        return self._tensor._expanded().keys()
+
+    def items(self):
+        return self._tensor._expanded().items()
+
+    def values(self):
+        return self._tensor._expanded().values()
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +510,28 @@ def _multiset_permutation_count(key: Index) -> int:
 
 def is_symmetric(a: CubicalTensor) -> bool:
     """True iff every permutation of every index tuple carries the same value."""
-    groups: dict[Index, list[ExactComplex]] = {}
-    for idx, v in a.entries.items():
-        groups.setdefault(tuple(sorted(idx)), []).append(v)
-    for key, vals in groups.items():
-        first = vals[0]
-        if any(v != first for v in vals[1:]):
-            return False
-        if len(vals) != _multiset_permutation_count(key):
-            return False
-    return True
+    return a._symmetric_orbits() is not None
+
+
+def apply_array(a: CubicalTensor, x: np.ndarray) -> np.ndarray:
+    """F(x) for a numpy vector, through the tensor's cached float kernel."""
+    heads, tails, weights = a._kernel()
+    terms = weights * x[tails[0]]
+    for row in tails[1:]:
+        terms *= x[row]
+    if np.iscomplexobj(terms):
+        # bincount accepts real weights only
+        return (np.bincount(heads, weights=terms.real, minlength=a.n)
+                + 1j * np.bincount(heads, weights=terms.imag, minlength=a.n))
+    return np.bincount(heads, weights=terms, minlength=a.n)
 
 
 def apply(a: CubicalTensor, x: Sequence[complex]) -> list[complex]:
     """The map F(x)_k = sum a_{k j_2 ... j_r} x_{j_2} ... x_{j_r} in floats."""
     if len(x) != a.n:
         raise ValueError(f"vector length {len(x)} != order n={a.n}")
-    xs = [complex(v) for v in x]
-    out = [0j] * a.n
-    for idx, val in a.entries.items():
-        p = complex(val)
-        for j in idx[1:]:
-            p *= xs[j - 1]
-        out[idx[0] - 1] += p
-    return out
+    xs = np.array([complex(v) for v in x])
+    return apply_array(a, xs).tolist()
 
 
 def eigen_residual(a: CubicalTensor, lam: complex, x: Sequence[complex]) -> float:
@@ -316,16 +540,15 @@ def eigen_residual(a: CubicalTensor, lam: complex, x: Sequence[complex]) -> floa
     Returns max_k |lam x_k^(r-1) - F(x)_k| / max(1, |lam| ||x||_inf^(r-1),
     ||x||_inf^(r-1)).
     """
-    xs = [complex(v) for v in x]
+    xs = np.array([complex(v) for v in x])
     if len(xs) != a.n:
         raise ValueError(f"vector length {len(xs)} != order n={a.n}")
-    if all(v == 0 for v in xs):
+    if not xs.any():
         raise ValueError("eigenvector must be nonzero")
     lam = complex(lam)
-    f = apply(a, xs)
     p = a.r - 1
-    num = max(abs(lam * xs[k] ** p - f[k]) for k in range(a.n))
-    xinf = max(abs(v) for v in xs) ** p
+    num = float(np.abs(lam * xs ** p - apply_array(a, xs)).max())
+    xinf = float(np.abs(xs).max()) ** p
     den = max(1.0, abs(lam) * xinf, xinf)
     return num / den
 
@@ -336,14 +559,9 @@ def polynomial_form(a: CubicalTensor, x: Sequence[float]) -> float:
         raise ValueError("polynomial form is defined for real tensors only")
     if len(x) != a.n:
         raise ValueError(f"vector length {len(x)} != order n={a.n}")
-    xs = [float(v) for v in x]
-    total = 0.0
-    for idx, val in a.entries.items():
-        p = float(val.re)
-        for j in idx:
-            p *= xs[j - 1]
-        total += p
-    return total
+    xs = np.array([float(v) for v in x])
+    # sum over j_1 of x_{j_1} F(x)_{j_1}
+    return float(xs @ apply_array(a, xs))
 
 
 def digraph(a: CubicalTensor) -> dict[int, set[int]]:
@@ -352,10 +570,7 @@ def digraph(a: CubicalTensor) -> dict[int, set[int]]:
     There is an arc k -> j iff some stored entry a_{k j_2 ... j_r} != 0 has
     j among its trailing indices.
     """
-    succ: dict[int, set[int]] = {k: set() for k in range(1, a.n + 1)}
-    for idx in a.entries:
-        succ[idx[0]].update(idx[1:])
-    return succ
+    return {k: set(vs) for k, vs in a._digraph().items()}
 
 
 def _reachable(succ: Mapping[int, set[int]], start: int) -> set[int]:
@@ -374,7 +589,7 @@ def is_weakly_irreducible(a: CubicalTensor) -> bool:
     """True iff the associated digraph is strongly connected."""
     if a.n == 1:
         return True
-    succ = digraph(a)
+    succ = a._digraph()
     pred: dict[int, set[int]] = {k: set() for k in succ}
     for u, vs in succ.items():
         for v in vs:
@@ -399,19 +614,13 @@ def components(a: CubicalTensor) -> ComponentDecomposition:
     """Decompose a symmetric tensor into its connected components."""
     if not is_symmetric(a):
         raise ValueError("components are defined for symmetric tensors only")
-    succ = digraph(a)
-    adj: dict[int, set[int]] = {k: set() for k in succ}
-    for u, vs in succ.items():
-        for v in vs:
-            if v != u:
-                adj[u].add(v)
-                adj[v].add(u)
+    # symmetry makes every arc two-way, so reachability is connectivity
+    succ = a._digraph()
     unseen = set(range(1, a.n + 1))
     parts = []
     isolated = []
     while unseen:
-        start = min(unseen)
-        comp = sorted(_reachable(adj, start))
+        comp = sorted(_reachable(succ, min(unseen)))
         unseen.difference_update(comp)
         sub = a.principal_submatrix(comp)
         parts.append((tuple(comp), sub))

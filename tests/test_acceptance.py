@@ -43,6 +43,7 @@ from hypersym import (
     odd_transversal,
     spectral_radius_power,
     support_patterns,
+    TransversalInfeasible,
     transversal_to_coloring,
     verify_certificate,
     verify_component_product,
@@ -305,3 +306,25 @@ def test_criterion_10_transversal_sign_flips():
         assert verify_certificate(g, recovered)
         done += 1
     assert done == 50
+
+
+@criterion(11, "k = 2 two-part family: 4,900 8-edges certified without expanding 8! tuples each")
+def test_criterion_11_two_part_family_k2():
+    g, phi = gen_prop4_graph(2, 8, 8)
+    a = adjacency_tensor(g)
+    assert len(g.edges) == 4900
+    assert len(a.entries) == math.factorial(8) * 4900  # counted, not expanded
+
+    report = check_symmetric_spectrum_certified(a)
+    assert report.symmetric and report.branch == "colorable"
+    assert verify_certificate(g, report.certificate)
+    (witness,) = report.witness_pairs
+    assert witness.vertices == tuple(range(1, 17))
+    # every vertex lies on C(7,3) * C(8,4) edges, so rho = 2450 * 7!
+    assert witness.plus.lam.real == pytest.approx(2450 * math.factorial(7), rel=1e-12)
+    assert witness.minus.lam.real == pytest.approx(-witness.plus.lam.real, rel=1e-12)
+    assert witness.plus.residual <= 1e-8
+    assert witness.minus.residual <= 1e-8
+
+    assert isinstance(odd_transversal(g), TransversalInfeasible)
+    assert isinstance(odd_transversal(a), TransversalInfeasible)

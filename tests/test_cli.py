@@ -151,6 +151,25 @@ class TestConvertCertificate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "odd-coloring"},
+            {"kind": "odd-coloring", "phi": [3, 0, 0, 0, 0, 0]},
+            {"kind": "odd-coloring", "r": 6},
+            {"kind": "odd-transversal"},
+        ],
+    )
+    def test_certificate_missing_key_exit_2(self, tmp_path, capsys, doc):
+        path = write_fixture(tmp_path, "edge-r", r=6)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, data = run(
+            tmp_path, "convert-certificate", "--input", path, "--cert", str(cert)
+        )
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCheckSymmetric:
     def test_pair_graph_symmetric(self, tmp_path):
@@ -322,6 +341,34 @@ class TestUsageErrors:
         p.write_text(json.dumps({"surprise": True}))
         code, _ = run(tmp_path, "rho", "--input", str(p))
         assert code == 2
+
+    def test_boolean_index_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bool.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [true, 2], "v": 1}]}')
+        code, data = run(tmp_path, "odd-transversal", "--input", str(p))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"r": 2, "n": 2, "entries": [{"i": 5, "v": 1}]}',
+            '{"r": 2, "n": 2, "edges": 5}',
+            '{"r": 2, "n": 2, "edges": [5]}',
+        ],
+    )
+    def test_non_list_index_exit_2(self, tmp_path, doc):
+        p = tmp_path / "scalar.json"
+        p.write_text(doc)
+        code, data = run(tmp_path, "odd-transversal", "--input", str(p))
+        assert code == 2 and data is None
+
+    def test_boolean_vertex_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bool.json"
+        p.write_text('{"r": 2, "n": 3, "edges": [[true, 3], [2, 3]]}')
+        code, data = run(tmp_path, "odd-transversal", "--input", str(p))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_verb_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -58,6 +58,21 @@ class TestExactComplex:
     def test_hash_consistency(self):
         assert hash(ExactComplex(2, 0)) == hash(ExactComplex(Fraction(4, 2), 0))
 
+    def test_real_value_hashes_like_its_real_part(self):
+        for value in (1, -7, Fraction(3, 4), 0):
+            assert ExactComplex(value) == value
+            assert hash(ExactComplex(value)) == hash(value)
+        assert {1: "one"}[ExactComplex(1)] == "one"
+        assert ExactComplex(Fraction(1, 2)) in {0.5}
+
+    def test_reflected_subtraction_and_division(self):
+        assert 3 - ExactComplex(1) == ExactComplex(2)
+        assert Fraction(1, 2) - ExactComplex(0, 1) == ExactComplex(Fraction(1, 2), -1)
+        assert 3 / ExactComplex(2) == ExactComplex(Fraction(3, 2))
+        assert 1 / ExactComplex(0, 1) == ExactComplex(0, -1)
+        with pytest.raises(ZeroDivisionError):
+            1 / ExactComplex(0)
+
 
 class TestCubicalTensor:
     def test_duplicate_entries_sum_and_zero_pruned(self):
@@ -67,6 +82,12 @@ class TestCubicalTensor:
         assert (2, 1) not in a.entries
 
     def test_validation(self):
+        with pytest.raises(ValueError):
+            CubicalTensor(2, 2, [((True, 2), 1)])
+        with pytest.raises(ValueError):
+            CubicalTensor.from_orbits(2, 2, [((1, True), 1)])
+        with pytest.raises(ValueError):
+            CubicalTensor(2, True, [])
         with pytest.raises(ValueError):
             CubicalTensor(1, 3, [])
         with pytest.raises(ValueError):
