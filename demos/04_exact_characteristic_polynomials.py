@@ -5,9 +5,12 @@ Exact characteristic polynomials of small tensors
 The characteristic polynomial of an order-r tensor on n vertices is the
 resultant of its eigenvalue equations -- a single monic polynomial of
 degree n * (r-1)^(n-1) whose roots are exactly the eigenvalues.  This
-package computes it exactly (rational arithmetic end to end) for n <= 3
-and r in {2, 3, 4, 5} by evaluating Sylvester or Macaulay resultants at
-integer nodes and interpolating.
+package computes it exactly for n <= 3 and r in {2, 3, 4, 5}.  After the
+entries' denominators are cleared, lambda sits only on the diagonal of one
+integer Sylvester or Macaulay matrix, so the polynomial is the
+characteristic polynomial of that matrix (for n = 3, a quotient of two).
+It is computed modulo word-size primes and lifted by the Chinese remainder
+theorem; no evaluation nodes are used.
 """
 
 from itertools import permutations

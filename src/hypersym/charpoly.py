@@ -2,22 +2,25 @@
 
 The characteristic polynomial of an order-n tensor with r indices is the
 resultant of the n eigenvalue forms lam * x_k^(r-1) - F_k(x); it is monic of
-degree n * (r-1)^(n-1).  It is computed here by evaluating the resultant at
-exact rational nodes (Sylvester for n = 2, Macaulay quotient for n = 3,
-skipping nodes where the denominator minor vanishes) and interpolating.
+degree n * (r-1)^(n-1).  Denominators are cleared once per tensor, and
+lam then appears only on the diagonal of one integer Sylvester (n = 2) or
+Macaulay (n = 3) matrix, so the resultant is det(mu I + M0), divided for
+n = 3 by the same on the submatrix of non-reduced monomials.  The
+determinants come exactly from `resultants.shifted_det_coeffs`:
+characteristic polynomials modulo word primes, lifted by CRT.  No
+evaluation nodes are used; a matrix (r = 2) is one shifted determinant.
 A polynomial has a symmetric root multiset iff p(-x) == (-1)^deg p(x).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph, adjacency_tensor
-from .resultants import (DegenerateNode, det_fractions, interpolate,
-                         macaulay_resultant_3, sylvester_resultant)
 from .tensor import CubicalTensor, components, is_symmetric, is_weakly_irreducible
 
 __all__ = [
@@ -210,13 +213,17 @@ def _require_real_rational(a: CubicalTensor, what: str) -> None:
         raise ValueError(f"{what} requires real rational entries")
 
 
-def _nodes() -> Iterator[Fraction]:
-    yield Fraction(0)
-    t = 1
-    while True:
-        yield Fraction(t)
-        yield Fraction(-t)
-        t += 1
+def _cleared(a: CubicalTensor) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
+    """L, the lcm of the entry denominators, and each entry times -L as an int."""
+    items = list(a.entries.items())
+    scale = lcm(1, *(v.re.denominator for _, v in items))
+    return scale, [(idx, -v.re.numerator * (scale // v.re.denominator)) for idx, v in items]
+
+
+def _scaled(coeffs: list[int], scale: int) -> UniPoly:
+    """q(scale * x) / scale^deg q for the ascending integer coefficients of q."""
+    deg = len(coeffs) - 1
+    return UniPoly([Fraction(c, scale ** (deg - i)) for i, c in enumerate(coeffs)])
 
 
 def charpoly_2matrix(a: CubicalTensor) -> UniPoly:
@@ -224,62 +231,29 @@ def charpoly_2matrix(a: CubicalTensor) -> UniPoly:
     if a.r != 2:
         raise ValueError(f"matrix characteristic polynomial needs r=2, got r={a.r}")
     _require_real_rational(a, "charpoly_2matrix")
+    # Imported on first use: most verbs never need the exact engine, and
+    # importing it compiles the module.
+    from .resultants import shifted_det_coeffs
+
     n = a.n
-    node_iter = _nodes()
-    points = []
-    for _ in range(n + 1):
-        lam = next(node_iter)
-        m = [[(lam if i == j else Fraction(0)) - a.entry((i, j)).re
-              for j in range(1, n + 1)] for i in range(1, n + 1)]
-        points.append((lam, det_fractions(m)))
-    coeffs = interpolate(points)
-    p = UniPoly(coeffs)
+    # det(xI - A) = det(mu I - L A) / L^n with mu = L x
+    scale, items = _cleared(a)
+    m0 = [[0] * n for _ in range(n)]
+    for (i, j), v in items:
+        m0[i - 1][j - 1] = v
+    p = _scaled(shifted_det_coeffs(m0), scale)
     if p.degree != n or not p.is_monic():
         raise RuntimeError("internal error: matrix charpoly is not monic of degree n")
     return p
 
 
-def _eigen_form_coeffs_n2(a: CubicalTensor, lam: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """Descending coefficient lists (in x1) of the two eigenvalue forms."""
-    d = a.r - 1
-    f = [Fraction(0)] * (d + 1)  # index m: coeff of x1^(d-m) x2^m
-    g = [Fraction(0)] * (d + 1)
-    for idx, v in a.entries.items():
-        ones = sum(1 for j in idx[1:] if j == 1)
-        m = d - ones
-        if idx[0] == 1:
-            f[m] -= v.re
-        else:
-            g[m] -= v.re
-    f[0] += lam
-    g[d] += lam
-    return f, g
-
-
-def _eigen_forms_n3(a: CubicalTensor, lam: Fraction) -> list[dict]:
-    d = a.r - 1
-    forms: list[dict] = [dict(), dict(), dict()]
-    for idx, v in a.entries.items():
-        expo = [0, 0, 0]
-        for j in idx[1:]:
-            expo[j - 1] += 1
-        key = tuple(expo)
-        form = forms[idx[0] - 1]
-        form[key] = form.get(key, Fraction(0)) - v.re
-    for k in range(3):
-        lead = [0, 0, 0]
-        lead[k] = d
-        key = tuple(lead)
-        forms[k][key] = forms[k].get(key, Fraction(0)) + lam
-    return forms
-
-
-def charpoly_tensor(a: CubicalTensor, max_node_attempts: int | None = None) -> UniPoly:
+def charpoly_tensor(a: CubicalTensor) -> UniPoly:
     """Exact characteristic polynomial for n <= 3 and r in {2, 3, 4, 5}.
 
-    Monic of degree n * (r-1)^(n-1).  For n = 3, evaluation nodes where the
-    Macaulay denominator minor vanishes are skipped and replaced from the
-    node stream; a bounded number of attempts guards degenerate inputs.
+    Monic of degree n * (r-1)^(n-1): the resultant of the forms
+    lam * x_k^(r-1) - F_k, computed as one shifted determinant (quotient of
+    two for n = 3) of the integer Macaulay matrix of -L * F, L the common
+    denominator of the entries, in mu = L * lam.
     """
     if a.n > 3:
         raise ValueError(
@@ -288,37 +262,23 @@ def charpoly_tensor(a: CubicalTensor, max_node_attempts: int | None = None) -> U
     if a.r not in (2, 3, 4, 5):
         raise ValueError(f"supported index counts are r in {{2,3,4,5}}, got r={a.r}")
     _require_real_rational(a, "charpoly_tensor")
+    from .resultants import shifted_resultant_coeffs  # on first use, as above
+
     n, r = a.n, a.r
     degree = n * (r - 1) ** (n - 1)
-    if n == 1:
-        return UniPoly([-a.entry((1,) * r).re, 1])
-    needed = degree + 1
-    if max_node_attempts is None:
-        max_node_attempts = 4 * needed + 32
-    points: list[tuple[Fraction, Fraction]] = []
-    attempts = 0
-    for lam in _nodes():
-        if len(points) == needed:
-            break
-        if attempts >= max_node_attempts:
-            raise RuntimeError(
-                f"could not find {needed} usable evaluation nodes in "
-                f"{max_node_attempts} attempts; system is degenerate")
-        attempts += 1
-        if n == 2:
-            f, g = _eigen_form_coeffs_n2(a, lam)
-            points.append((lam, sylvester_resultant(f, g)))
-        else:
-            try:
-                value = macaulay_resultant_3(_eigen_forms_n3(a, lam), r - 1)
-            except DegenerateNode:
-                continue
-            points.append((lam, value))
-    coeffs = interpolate(points)
-    p = UniPoly(coeffs)
+    scale, items = _cleared(a)
+    forms: list[dict] = [{} for _ in range(n)]
+    for idx, v in items:
+        expo = [0] * n
+        for j in idx[1:]:
+            expo[j - 1] += 1
+        key = tuple(expo)
+        form = forms[idx[0] - 1]
+        form[key] = form.get(key, 0) + v
+    p = _scaled(shifted_resultant_coeffs(forms, [r - 1] * n), scale)
     if p.degree != degree:
         raise RuntimeError(
-            f"internal error: interpolated degree {p.degree} != expected {degree}")
+            f"internal error: resultant degree {p.degree} != expected {degree}")
     lead = p.coeffs[-1]
     if lead == -1:
         p = UniPoly([-c for c in p.coeffs])

@@ -1,16 +1,34 @@
-"""Exact resultants of homogeneous systems in two and three variables.
+"""Exact resultants of eigenvalue forms, as characteristic polynomials.
 
-Characteristic polynomials are recovered by evaluating the resultant of the
-eigenvalue forms at exact rational nodes and interpolating, so the heavy
-lifting here is exact determinant work: fraction-free Bareiss elimination on
-integerized matrices, the classical Sylvester matrix for binary forms, and
-the classical three-variable Macaulay quotient det(M) / det(M').
+hypersym's characteristic polynomials are resultants of the eigenvalue
+forms lam * x_k^d - F_k(x).  In the Macaulay matrix of such a system (the
+Sylvester matrix for two variables) lam appears only on the diagonal: the
+row of monomial m carries form k shifted by m / x_k^d, and its lam * x_k^d
+term lands in column m itself.  So each resultant is det(lam I + M0) for
+one integer matrix M0 once denominators are cleared, divided for three or
+more variables by det(lam I + M0'), where M0' is the principal submatrix
+on the non-reduced monomials (Macaulay's quotient).  The divisor is
+monic, so the division is exact and there are no evaluation nodes.
+
+`shifted_det_coeffs` is the one engine: it reduces an integer matrix
+modulo word-size primes, takes each characteristic polynomial through a
+Hessenberg reduction (numpy, vectorized over the primes) and combines the
+residues by the Chinese remainder theorem once the product of the primes
+exceeds twice a certified bound on every coefficient.  `macaulay_matrix`
+is the one matrix builder; `shifted_resultant_coeffs` joins the two.
+
+The single-node evaluators (`sylvester_resultant`, `macaulay_resultant_3`
+over `det_fractions` and fraction-free Bareiss elimination) and Newton
+`interpolate` build the same matrix at one value of lam; they are the
+independent oracle the engine is tested against.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Sequence
+
+import numpy as np
 
 Monomial = tuple[int, ...]
 Form = dict[Monomial, Fraction]
@@ -60,7 +78,58 @@ def det_fractions(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# binary forms: Sylvester
+# the Macaulay matrix (Sylvester for two forms)
+# ---------------------------------------------------------------------------
+
+def _monomials(nvars: int, total: int) -> list[Monomial]:
+    """Exponent tuples of the given total degree, descending lexicographic."""
+    if nvars == 1:
+        return [(total,)]
+    return [(a,) + rest for a in range(total, -1, -1)
+            for rest in _monomials(nvars - 1, total - a)]
+
+
+def macaulay_matrix(forms: Sequence[Form], degrees: Sequence[int]) -> tuple[list[list], list[int]]:
+    """Macaulay matrix of a square system of homogeneous forms, and M'.
+
+    ``forms[k]`` maps exponent tuples to coefficients and is homogeneous
+    of degree ``degrees[k]``.  Rows and columns are the monomials of degree
+    D = sum(d_k - 1) + 1 in descending lexicographic order; the row of
+    monomial m is (m / x_k^d_k) * f_k for the first k with x_k^d_k | m, so
+    the x_k^d_k coefficient of every form lands on the diagonal.  The
+    second value lists the non-reduced monomials (divisible by two or more
+    x_k^d_k); M' is the principal submatrix on them.  For two forms this is
+    the Sylvester matrix and M' is empty.
+    """
+    nvars = len(forms)
+    if nvars < 1 or len(degrees) != nvars:
+        raise ValueError("need one degree per form and at least one form")
+    if min(degrees) < 1:
+        raise ValueError(f"form degrees must be >= 1, got {list(degrees)}")
+    mons = _monomials(nvars, sum(degrees) - nvars + 1)
+    col_of = {mon: i for i, mon in enumerate(mons)}
+    rows: list[list] = []
+    non_reduced: list[int] = []
+    for mi, mon in enumerate(mons):
+        divisible = [mon[k] >= degrees[k] for k in range(nvars)]
+        cls = divisible.index(True)  # the degree of mon guarantees one
+        if sum(divisible) >= 2:
+            non_reduced.append(mi)
+        quotient = list(mon)
+        quotient[cls] -= degrees[cls]
+        row = [0] * len(mons)
+        for fmon, coeff in forms[cls].items():
+            row[col_of[tuple(q + e for q, e in zip(quotient, fmon))]] += coeff
+        rows.append(row)
+    return rows, non_reduced
+
+
+def _principal(rows: list[list], idx: list[int]) -> list[list]:
+    return [[rows[i][j] for j in idx] for i in idx]
+
+
+# ---------------------------------------------------------------------------
+# single-node resultants (the oracle)
 # ---------------------------------------------------------------------------
 
 def sylvester_resultant(f_desc: Sequence[Fraction], g_desc: Sequence[Fraction]) -> Fraction:
@@ -73,27 +142,10 @@ def sylvester_resultant(f_desc: Sequence[Fraction], g_desc: Sequence[Fraction]) 
     dg = len(g_desc) - 1
     if df < 1 or dg < 1:
         raise ValueError("both forms must have formal degree >= 1")
-    size = df + dg
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(dg):
-        for j, c in enumerate(f_desc):
-            m[i][i + j] = Fraction(c)
-    for i in range(df):
-        for j, c in enumerate(g_desc):
-            m[dg + i][i + j] = Fraction(c)
-    return det_fractions(m)
-
-
-# ---------------------------------------------------------------------------
-# three variables: classical Macaulay quotient
-# ---------------------------------------------------------------------------
-
-def _monomials_of_degree(total: int) -> list[Monomial]:
-    out = []
-    for a in range(total, -1, -1):
-        for b in range(total - a, -1, -1):
-            out.append((a, b, total - a - b))
-    return out
+    forms = [{(df - j, j): Fraction(c) for j, c in enumerate(f_desc)},
+             {(dg - j, j): Fraction(c) for j, c in enumerate(g_desc)}]
+    rows, _ = macaulay_matrix(forms, (df, dg))
+    return det_fractions(rows)
 
 
 class DegenerateNode(Exception):
@@ -103,47 +155,20 @@ class DegenerateNode(Exception):
 def macaulay_resultant_3(forms: Sequence[Form], d: int) -> Fraction:
     """Resultant of three degree-d ternary forms via det(M) / det(M').
 
-    Rows of M are (monomial / x_i^d) * f_i for each degree-D monomial
-    (D = 3d - 2), with i the first variable whose d-th power divides the
-    monomial; M' keeps the rows and columns of monomials divisible by at
-    least two such powers.  Raises DegenerateNode when det(M') = 0.
+    Raises DegenerateNode when det(M') = 0.
     """
     if len(forms) != 3:
         raise ValueError("exactly three forms required")
     if d < 1:
         raise ValueError(f"form degree must be >= 1, got {d}")
-    big_d = 3 * d - 2
-    mons = _monomials_of_degree(big_d)
-    col_of = {mon: i for i, mon in enumerate(mons)}
-    size = len(mons)
-
-    rows: list[list[Fraction]] = []
-    non_reduced_idx: list[int] = []
-    for mi, mon in enumerate(mons):
-        divisible = [mon[i] >= d for i in range(3)]
-        cls = divisible.index(True)  # D = 3d-2 guarantees at least one
-        if sum(divisible) >= 2:
-            non_reduced_idx.append(mi)
-        quotient = tuple(mon[i] - (d if i == cls else 0) for i in range(3))
-        row = [Fraction(0)] * size
-        for fmon, coeff in forms[cls].items():
-            shifted = (quotient[0] + fmon[0], quotient[1] + fmon[1],
-                       quotient[2] + fmon[2])
-            row[col_of[shifted]] += coeff
-        rows.append(row)
-
+    rows, non_reduced = macaulay_matrix(forms, (d, d, d))
     det_m = det_fractions(rows)
-    sub = [[rows[i][j] for j in non_reduced_idx] for i in non_reduced_idx]
-    det_sub = det_fractions(sub)
+    det_sub = det_fractions(_principal(rows, non_reduced))
     if det_sub == 0:
         raise DegenerateNode(
             "denominator minor vanished at this evaluation node")
     return det_m / det_sub
 
-
-# ---------------------------------------------------------------------------
-# exact interpolation (Newton form)
-# ---------------------------------------------------------------------------
 
 def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> list[Fraction]:
     """Ascending coefficients of the polynomial through the given points."""
@@ -164,4 +189,216 @@ def interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> list[Fraction]:
         coeffs[0] += divided[i]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the engine: det(x I + M) modulo word primes, lifted by CRT
+# ---------------------------------------------------------------------------
+
+# Primes below 2**31, largest first, so every product of two residues fits
+# in an int64.  Extended on first use, never at import.
+_PRIMES: list[int] = []
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 suffice below 3.2e9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for base in (2, 3, 5, 7):
+        x = pow(base, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_above(bound: int) -> list[int]:
+    """The fewest largest word primes whose product exceeds ``bound``."""
+    out: list[int] = []
+    product = 1
+    while product <= bound:
+        if len(out) == len(_PRIMES):
+            c = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+            while not _is_prime(c):
+                c -= 2
+            _PRIMES.append(c)
+        out.append(_PRIMES[len(out)])
+        product *= out[-1]
+    return out
+
+
+def _coefficient_bound(matrix: Sequence[Sequence[int]]) -> int:
+    """An integer B >= prod(1 + ||row_i||_2).
+
+    The coefficient of x^(n-j) in det(x I + M) is the sum of the j x j
+    principal minors of M.  By Hadamard each is at most the product of its
+    rows' norms, so the sum is at most the j-th elementary symmetric
+    function of the row norms, which is below B.
+    """
+    bound = 1
+    for row in matrix:
+        bound *= isqrt(sum(v * v for v in row)) + 2
+    return bound
+
+
+def _negated_residues(matrix: Sequence[Sequence[int]], primes: list[int]) -> np.ndarray:
+    """-M mod p for each prime, shape (primes, n, n), int64."""
+    try:
+        a = np.array(matrix, dtype=np.int64)
+    except OverflowError:
+        # entries beyond int64 are reduced as Python ints, one prime at a time
+        a = np.array(matrix, dtype=object)
+        return np.stack([(-a % p).astype(np.int64) for p in primes])
+    ps = np.array(primes, dtype=np.int64)[:, None, None]
+    h = np.remainder(a, ps)
+    np.negative(h, out=h)
+    return np.remainder(h, ps, out=h)
+
+
+def _dot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(a @ b) mod p for residues below 2**31, batched over the first axis.
+
+    ``a`` is split at bit 16 so that no int64 sum of products overflows for
+    inner dimensions below 2**16.
+    """
+    hi = (a >> 16) @ b % p
+    return ((hi << 16) + (a & 0xFFFF) @ b) % p
+
+
+def _hessenberg_mod(h: np.ndarray, primes: list[int]) -> None:
+    """Reduce each h[b] in place to upper Hessenberg form by similarity mod primes[b]."""
+    n = h.shape[1]
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    for j in range(n - 2):
+        nonzero = h[:, j + 1:, j] != 0
+        found = nonzero.any(axis=1)
+        if not found.any():
+            continue
+        pivot = nonzero.argmax(axis=1) + (j + 1)
+        # Swap the pivot into row j+1, and the matching columns, for each
+        # group of primes that share a pivot row.
+        for i in sorted(set(pivot[found & (pivot != j + 1)].tolist())):
+            sel = found & (pivot == i)
+            block = h[sel]
+            block[:, [j + 1, i]] = block[:, [i, j + 1]]
+            block[:, :, [j + 1, i]] = block[:, :, [i, j + 1]]
+            h[sel] = block
+        inv = [pow(v, -1, q) if v else 0 for v, q in zip(h[:, j + 1, j].tolist(), primes)]
+        mult = h[:, j + 2:, j, None] * np.array(inv, dtype=np.int64)[:, None, None] % p
+        if not mult.any():
+            continue
+        # rows below: row_k -= mult_k * row_{j+1}; then column j+1 gains
+        # sum_k mult_k * column_k, which keeps the similarity.
+        below = h[:, j + 2:, j:]
+        step = mult * h[:, j + 1, None, j:]
+        below -= np.remainder(step, p, out=step)
+        del step  # freed before the column update makes its temporaries
+        np.remainder(below, p, out=below)
+        h[:, :, j + 1, None] += _dot_mod(h[:, :, j + 2:], mult, p)
+        np.remainder(h[:, :, j + 1], p[:, 0], out=h[:, :, j + 1])
+
+
+def _hessenberg_charpolys(h: np.ndarray, primes: list[int]) -> np.ndarray:
+    """Ascending coefficients of det(x I - h[b]) mod primes[b], shape (primes, n + 1).
+
+    ``h`` is upper Hessenberg.  With p_m the charpoly of the leading m x m
+    block and s_t = h[t, t-1],
+    p_m = (x - h[m-1, m-1]) p_{m-1} - sum_{i<m-1} h[i, m-1] s_{i+1}...s_{m-1} p_i.
+    """
+    k, n, _ = h.shape
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    carry = np.zeros((k, 1, 0), dtype=np.int64)  # s_{i+1} ... s_{m-1} for i < m - 1
+    one = np.ones((k, 1, 1), dtype=np.int64)
+    for m in range(1, n + 1):
+        prev = polys[:, m - 1, None]
+        cur = polys[:, m, None]
+        cur[:, :, 1:] = prev[:, :, :-1]
+        cur -= h[:, m - 1, m - 1, None, None] * prev % p
+        if m > 1:
+            carry = np.concatenate([carry, one], axis=2) * h[:, m - 1, m - 2, None, None] % p
+            coef = h[:, None, :m - 1, m - 1] * carry % p
+            cur -= _dot_mod(coef, polys[:, :m - 1], p)
+        np.remainder(cur, p, out=cur)
+    return polys[:, n]
+
+
+def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """Integers in (-P/2, P/2] with the given residues, one per column, P = prod(primes)."""
+    modulus = 1
+    for p in primes:
+        modulus *= p
+    weights = []
+    for p in primes:
+        q = modulus // p
+        weights.append(q * pow(q % p, -1, p))
+    half = modulus // 2
+    out = []
+    for column in residues.T.tolist():
+        v = sum(r * w for r, w in zip(column, weights)) % modulus
+        out.append(v - modulus if v > half else v)
+    return out
+
+
+# Most int64 entries in one batch of per-prime matrices.  At 128 KB an array
+# and its temporaries stay small; batches of 512 KB raised the peak RSS of
+# the exact-charpoly benchmark's job list by about 1 MB.
+_BATCH_ENTRIES = 1 << 14
+
+
+def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending integer coefficients of det(x I + M) for a square integer matrix M."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    primes = _primes_above(2 * _coefficient_bound(matrix))
+    step = max(1, _BATCH_ENTRIES // (n * n))
+    residues = []
+    for lo in range(0, len(primes), step):
+        batch = primes[lo:lo + step]
+        h = _negated_residues(matrix, batch)
+        _hessenberg_mod(h, batch)
+        residues.append(_hessenberg_charpolys(h, batch))
+    return _crt(np.concatenate(residues), primes)
+
+
+def _exact_quotient(num: list[int], den: list[int]) -> list[int]:
+    """num / den over the integers, for a monic den that divides num."""
+    rem = list(num)
+    dd = len(den) - 1
+    quot = [0] * (len(num) - dd)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rem[i + dd]
+        if c:
+            for j in range(dd + 1):
+                rem[i + j] -= c * den[j]
+    if any(rem[:dd]):
+        raise RuntimeError("internal error: Macaulay denominator does not divide")
+    return quot
+
+
+def shifted_resultant_coeffs(forms: Sequence[Form], degrees: Sequence[int]) -> list[int]:
+    """Ascending coefficients of Res(x * x_k^d_k + f_k) as a polynomial in x.
+
+    The forms have integer coefficients; the result is monic of degree
+    prod(degrees) * sum(1 / d_k) (Macaulay's normalization,
+    Res(x_1^d_1, ..., x_n^d_n) = 1).
+    """
+    rows, non_reduced = macaulay_matrix(forms, degrees)
+    coeffs = shifted_det_coeffs(rows)
+    if non_reduced:
+        coeffs = _exact_quotient(coeffs, shifted_det_coeffs(_principal(rows, non_reduced)))
     return coeffs

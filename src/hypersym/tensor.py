@@ -16,6 +16,7 @@ Eigenpairs follow the homogeneous eigenvalue equation
 from __future__ import annotations
 
 import functools
+import sys
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -109,10 +110,16 @@ class ExactComplex:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self) -> int:
-        # A real value equals its real part, so it must hash like it too.
+        # Equal values hash equal: a real value like its real part, any other
+        # like the Python complex, which CPython hashes as
+        # hash(re) + hash_info.imag * hash(im) in wrapping machine words.
         if self.im == 0:
             return hash(self.re)
-        return hash((self.re, self.im))
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        if h >= 1 << (width - 1):
+            h -= 1 << width
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -150,15 +157,17 @@ def encode_value(v: ExactComplex) -> str | list:
 
 def parse_value(obj) -> ExactComplex:
     """Parse an entry value: a number, a "p/q" string, or a [re, im] pair."""
-    if isinstance(obj, (list, tuple)):
-        if len(obj) != 2:
-            raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
-        return ExactComplex(Fraction(obj[0]), Fraction(obj[1]))
-    if isinstance(obj, bool):
-        raise ValueError("boolean is not a tensor value")
-    if isinstance(obj, (int, float, str)):
-        return ExactComplex(Fraction(obj))
-    raise ValueError(f"cannot parse tensor value {obj!r}")
+    parts = obj if isinstance(obj, (list, tuple)) else (obj, 0)
+    if len(parts) != 2:
+        raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
+    for part in parts:
+        # a bool is an int, but not a tensor value
+        if isinstance(part, bool) or not isinstance(part, (int, float, str)):
+            raise ValueError(f"cannot parse tensor value {obj!r}")
+    try:
+        return ExactComplex(*parts)
+    except OverflowError:  # an infinite float
+        raise ValueError(f"tensor value {obj!r} is not finite") from None
 
 
 Index = tuple[int, ...]

@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hypersym as hs
 from hypersym import (
@@ -24,6 +26,16 @@ from hypersym import (
     spectral_radius_power,
     squarefree_decomposition,
     verify_component_product,
+)
+
+from hypersym.resultants import (
+    DegenerateNode,
+    det_fractions,
+    interpolate,
+    macaulay_matrix,
+    macaulay_resultant_3,
+    shifted_det_coeffs,
+    sylvester_resultant,
 )
 
 from conftest import random_symmetric_tensor, random_tensor
@@ -379,3 +391,127 @@ class TestIsolatedVertexMultiplicity:
         rep = isolated_vertex_multiplicity_check(a)
         assert rep.base_squarefree == ((1, UniPoly([-1, 1])),)
         assert rep.actual_squarefree == ((2, UniPoly([0, -1, 1])),)
+
+
+# ---------------------------------------------------------------------------
+# the modular engine against the single-node Fraction oracle
+# ---------------------------------------------------------------------------
+
+ENGINE = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+HUGE = 2**63
+# small integers, small rationals, and numerators or denominators past int64,
+# which send the engine down its Python-int reduction path
+values = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(HUGE, 4 * HUGE) | st.integers(-4 * HUGE, -HUGE),
+              st.integers(1, 5)),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(HUGE, 4 * HUGE)),
+)
+
+
+@st.composite
+def sparse_tensor(draw, n: int, r: int, max_size: int) -> CubicalTensor:
+    index = st.tuples(*[st.integers(1, n)] * r)
+    items = draw(st.dictionaries(index, values, max_size=max_size))
+    return CubicalTensor(r, n, list(items.items()))
+
+
+def oracle_resultant(a: CubicalTensor, lam: int) -> Fraction:
+    """Resultant of lam * x_k^(r-1) - F_k at one node, built from the entries."""
+    n, d = a.n, a.r - 1
+    forms = [{} for _ in range(n)]
+    for idx, v in a.entries.items():
+        expo = [0] * n
+        for j in idx[1:]:
+            expo[j - 1] += 1
+        form, key = forms[idx[0] - 1], tuple(expo)
+        form[key] = form.get(key, 0) - v.re
+    for k in range(n):
+        lead = tuple(d if i == k else 0 for i in range(n))
+        forms[k][lead] = forms[k].get(lead, 0) + lam
+    if n == 2:
+        desc = [[f.get((d - m, m), Fraction(0)) for m in range(d + 1)] for f in forms]
+        return sylvester_resultant(*desc)
+    return macaulay_resultant_3(forms, d)
+
+
+class TestEngine:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @settings(ENGINE, max_examples=10)
+    @given(data=st.data(), nodes=st.lists(st.integers(-6, 6), min_size=3, max_size=3,
+                                          unique=True))
+    def test_tensor_matches_single_node_resultants(self, n, r, data, nodes):
+        a = data.draw(sparse_tensor(n, r, 12))
+        p = charpoly_tensor(a)
+        assert p.is_monic() and p.degree == n * (r - 1) ** (n - 1)
+        pairs = []
+        for lam in nodes:
+            try:
+                pairs.append((p(Fraction(lam)), oracle_resultant(a, lam)))
+            except DegenerateNode:
+                continue
+        assert all(got == want for got, want in pairs) or all(
+            got == -want for got, want in pairs)
+
+    @pytest.mark.parametrize("n, r", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_interpolated_oracle_is_the_engine(self, rng, n, r):
+        # the whole node route: deg + 1 usable nodes, then interpolation
+        a = random_tensor(rng, n, r, density=0.5, lo=-3, hi=3)
+        p = charpoly_tensor(a)
+        points = []
+        lam = 0
+        while len(points) <= p.degree:
+            try:
+                points.append((Fraction(lam), oracle_resultant(a, lam)))
+            except DegenerateNode:
+                pass
+            lam = -lam if lam > 0 else 1 - lam
+        assert UniPoly(interpolate(points)) == p
+
+    @ENGINE
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_matrix_matches_det_fractions(self, n, data):
+        a = data.draw(sparse_tensor(n, 2, 3 * n))
+        p = charpoly_2matrix(a)
+        assert p.is_monic() and p.degree == n
+        for lam in (-2, 3):
+            shifted = [[(lam if i == j else 0) - a.entry((i, j)).re
+                        for j in range(1, n + 1)] for i in range(1, n + 1)]
+            assert p(Fraction(lam)) == det_fractions(shifted)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("r", range(2, 9))
+    def test_builder_puts_lambda_on_the_diagonal(self, nvars, r):
+        d = r - 1
+        pure = [{tuple(d if i == k else 0 for i in range(nvars)): 1} for k in range(nvars)]
+        rows, non_reduced = macaulay_matrix(pure, [d] * nvars)
+        size = len(rows)
+        assert rows == [[int(i == j) for j in range(size)] for i in range(size)]
+        # the quotient det(M) / det(M') has the charpoly degree n d^(n-1)
+        assert size - len(non_reduced) == nvars * d ** (nvars - 1)
+
+    def test_pivots_that_vanish_modulo_one_prime(self):
+        # Multiples of the largest word prime are zero modulo it but not
+        # modulo the others, so the primes take different pivot rows.
+        q = 2**31 - 1
+        rng = random.Random(5)
+        for n in (3, 5, 8):
+            m = [[q * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(-2, 2)
+                  for _ in range(n)] for _ in range(n)]
+            p = UniPoly(shifted_det_coeffs(m))
+            for lam in (-1, 0, 2):
+                shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)]
+                           for i in range(n)]
+                assert p(Fraction(lam)) == det_fractions(shifted)
+
+    def test_empty_matrix(self):
+        assert shifted_det_coeffs([]) == [1]

@@ -363,6 +363,15 @@ class TestUsageErrors:
         code, data = run(tmp_path, "odd-transversal", "--input", str(p))
         assert code == 2 and data is None
 
+    @pytest.mark.parametrize("value", ["[true, 0]", "[1, false]", "[null, 1]", "Infinity",
+                                       "[0, -Infinity]"])
+    def test_bad_value_component_exit_2(self, tmp_path, capsys, value):
+        p = tmp_path / "value.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": %s}]}' % value)
+        code, data = run(tmp_path, "odd-transversal", "--input", str(p))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_boolean_vertex_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bool.json"
         p.write_text('{"r": 2, "n": 3, "edges": [[true, 3], [2, 3]]}')

@@ -65,6 +65,20 @@ class TestExactComplex:
         assert {1: "one"}[ExactComplex(1)] == "one"
         assert ExactComplex(Fraction(1, 2)) in {0.5}
 
+    def test_complex_value_hashes_like_python_complex(self):
+        # 2**60 pushes hash(re) + hash_info.imag * hash(im) past a machine word
+        for re, im in [(1, 2), (-3, 0.25), (0.5, -7), (0, 1), (2**60, 2**60), (-(2**62), 3)]:
+            z = complex(re, im)
+            e = ExactComplex(Fraction(re), Fraction(im))
+            assert e == z
+            assert hash(e) == hash(z)
+
+    def test_complex_keyed_dict_hit(self):
+        table = {1 + 2j: "z", -0.5j: "w"}
+        assert table[ExactComplex(1, 2)] == "z"
+        assert table[ExactComplex(0, Fraction(-1, 2))] == "w"
+        assert ExactComplex(3, -4) in {3 - 4j}
+
     def test_reflected_subtraction_and_division(self):
         assert 3 - ExactComplex(1) == ExactComplex(2)
         assert Fraction(1, 2) - ExactComplex(0, 1) == ExactComplex(Fraction(1, 2), -1)
