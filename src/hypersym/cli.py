@@ -6,6 +6,7 @@ error, 3 = precondition violation, 4 = iteration did not converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -127,6 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p, needs_input=False)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to `main` and reused after it."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +268,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _HANDLERS[args.verb](args)
     except _UsageError as exc:

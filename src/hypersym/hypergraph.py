@@ -12,7 +12,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .parity import OddColoring
-from .tensor import CubicalTensor, ExactComplex, is_weakly_irreducible
+from .tensor import (CubicalTensor, ExactComplex, _once, is_weakly_irreducible,
+                     pattern_incidence)
 
 __all__ = [
     "Hypergraph", "adjacency_tensor", "is_connected",
@@ -24,7 +25,7 @@ __all__ = [
 class Hypergraph:
     """r-uniform hypergraph on vertices 1..n with set-valued edges."""
 
-    __slots__ = ("r", "n", "_edges")
+    __slots__ = ("r", "n", "_edges", "_cache")
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
         if type(r) is not int or r < 2:
@@ -44,6 +45,7 @@ class Hypergraph:
                     raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {e}")
             canon.add(e)
         object.__setattr__(self, "_edges", tuple(sorted(canon)))
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
@@ -62,6 +64,11 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self._edges)})"
+
+    @_once
+    def _incidence(self):
+        """Edge-incidence array: [i, j] counts vertex j+1 (0 or 1) in edge i."""
+        return pattern_incidence(self._edges, self.r, self.n)
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self._edges if v in e)

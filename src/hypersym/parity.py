@@ -8,10 +8,22 @@ that every stored support tuple (j_1, ..., j_r) satisfies
 An odd transversal is a vertex set X meeting every support tuple in an odd
 number of positions (counted with multiplicity).  Both reduce to linear
 systems over residue rings: one equation per distinct support multiset.
+
+Solvers and checks read one pattern-incidence array C, cached on the tensor
+or hypergraph: C[i, j] counts vertex j+1 in pattern i.  A coloring phi
+verifies when C @ phi == r/2 (mod r) row by row, a transversal X when
+C[:, X] sums to an odd number in every row.  The residue system C phi ==
+r/2 is solved modulo each prime power p^e of r and recombined by CRT.  The
+elimination pivots on the row-major-first entry of minimum p-valuation
+among the unused columns of the remaining rows, so a pivot divides every
+other entry of its row and free variables can be set to zero.  The
+odd-transversal system over GF(2) takes the rows of C mod 2 as bitmasks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .tensor import CubicalTensor
 
@@ -174,89 +186,76 @@ def _prime_power_factors(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _valuation(a: int, p: int) -> int:
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
+_SCAN_ROWS = 1024
 
 
-def _solve_mod_prime_power(rows: list[list[int]], rhs: list[int], ncols: int,
-                           p: int, e: int):
-    """Particular solution of rows * x == rhs over Z_{p^e}, or an unsat witness.
+def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
+    """Particular solution of rows @ x == rhs over Z_{p^e}, or an unsat witness.
 
-    Elimination pivots on a minimum-p-valuation entry of the remaining
-    submatrix, so every non-pivot coefficient in a pivot row has valuation at
-    least the pivot's; feasibility then depends only on the reduced right
-    sides, and setting free variables to zero is lossless.
+    Elimination pivots on the row-major-first entry of minimum p-valuation
+    among the unused columns of the remaining rows, so every non-pivot
+    coefficient in a pivot row has valuation at least the pivot's;
+    feasibility then depends only on the reduced right sides, and setting
+    free variables to zero is lossless.
     """
     mod = p ** e
-    m = [[v % mod for v in row] for row in rows]
-    b = [v % mod for v in rhs]
-    nrows = len(m)
+    dtype = np.min_scalar_type(-mod * mod)  # holds every product of residues
+    m = np.remainder(rows, mod, dtype=np.promote_types(rows.dtype, dtype)).astype(dtype)
+    b = np.remainder(rhs, mod).astype(dtype)
+    nrows, ncols = m.shape
+    val = np.zeros(mod, dtype=np.int8)  # p-valuation of each residue; e for 0
+    for k in range(1, e + 1):
+        val[::p ** k] += 1
+    used = np.zeros(ncols, dtype=bool)
     pivots: list[tuple[int, int, int, int]] = []  # (row, col, p^v, unit)
-    used_cols: set[int] = set()
     top = 0
-    while top < nrows:
-        best = None
-        for i in range(top, nrows):
-            for j in range(ncols):
-                if j in used_cols:
-                    continue
-                a = m[i][j]
-                if a == 0:
-                    continue
-                v = _valuation(a, p)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == 0:
-                        break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
+    while top < nrows and not used.all():
+        free = np.flatnonzero(~used)
+        v = e + 1
+        # row-major-first minimum, by blocks of rows: a unit ends the scan
+        for lo in range(top, nrows, _SCAN_ROWS):
+            vals = val[m[lo:lo + _SCAN_ROWS, free]]
+            i, k = divmod(int(vals.argmin()), len(free))
+            if vals[i, k] < v:
+                v, pi, pj = int(vals[i, k]), lo + i, int(free[k])
+                if v == 0:
+                    break
+        if v == e:
             break
-        v, pi, pj = best
-        m[top], m[pi] = m[pi], m[top]
-        b[top], b[pi] = b[pi], b[top]
+        m[[top, pi]] = m[[pi, top]]
+        b[[top, pi]] = b[[pi, top]]
         pv = p ** v
-        unit = (m[top][pj] // pv) % mod
-        inv_unit = pow(unit, -1, mod)
-        for i in range(top + 1, nrows):
-            a = m[i][pj]
-            if a:
-                t = ((a // pv) * inv_unit) % mod
-                if t:
-                    m[i] = [(m[i][j] - t * m[top][j]) % mod for j in range(ncols)]
-                    b[i] = (b[i] - t * b[top]) % mod
+        unit = int(m[top, pj]) // pv
+        below = top + 1 + np.flatnonzero(m[top + 1:, pj])
+        t = (m[below, pj] // pv) * pow(unit, -1, mod) % mod
+        m[below] = (m[below] - t[:, None] * m[top]) % mod
+        b[below] = (b[below] - t * b[top]) % mod
         pivots.append((top, pj, pv, unit))
-        used_cols.add(pj)
+        used[pj] = True
         top += 1
-    for i in range(top, nrows):
-        if b[i] % mod:
-            return "unsat", f"0 == {b[i]} (mod {mod}) after elimination"
-    x = [0] * ncols
+    rest = np.flatnonzero(b[top:])
+    if rest.size:
+        return "unsat", f"0 == {int(b[top + rest[0]])} (mod {mod}) after elimination"
+    x = np.zeros(ncols, dtype=np.int64)
     for row, col, pv, unit in reversed(pivots):
-        s = b[row]
-        for j in range(ncols):
-            if j != col and m[row][j]:
-                s -= m[row][j] * x[j]
-        s %= mod
+        s = (int(b[row]) - int(m[row] @ x)) % mod  # x[col] is still 0
         if s % pv:
             return "unsat", (f"pivot equation needs {s} divisible by {pv} "
                              f"(mod {mod})")
         x[col] = ((s // pv) * pow(unit, -1, mod)) % (mod // pv)
-    return "sat", x
-
-
-def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> tuple[int, int]:
-    t = ((a2 - a1) * pow(m1, -1, m2)) % m2
-    return a1 + m1 * t, m1 * m2
+    return "sat", x.tolist()
 
 
 # ---------------------------------------------------------------------------
 # public solvers
 # ---------------------------------------------------------------------------
+
+def _incidence(obj) -> np.ndarray:
+    """The cached pattern-incidence array of a tensor or hypergraph."""
+    if not isinstance(obj, CubicalTensor) and getattr(obj, "edges", None) is None:
+        raise TypeError(f"expected CubicalTensor or Hypergraph, got {type(obj).__name__}")
+    return obj._incidence()
+
 
 def odd_coloring(obj) -> OddColoring | ColoringInfeasible:
     """Find an odd coloring of a tensor or hypergraph, or show none exists."""
@@ -264,40 +263,37 @@ def odd_coloring(obj) -> OddColoring | ColoringInfeasible:
     if r % 2:
         raise OddColoringUndefinedError(
             f"odd colorings are defined for even r only, got r={r}")
-    patterns = support_patterns(obj)
-    rows = []
-    for pat in patterns:
-        row = [0] * n
-        for j in pat:
-            row[j - 1] += 1
-        rows.append(row)
-    target = r // 2
-    rhs = [target] * len(rows)
-    residues = [(0, 1)] * n  # (value, modulus) accumulated by CRT
+    rows = _incidence(obj)
+    rhs = np.full(len(rows), r // 2)
+    phi, modulus = [0] * n, 1  # lifted by CRT one prime power at a time
     for p, e in _prime_power_factors(r):
-        status, result = _solve_mod_prime_power(rows, rhs, n, p, e)
+        status, result = _solve_mod_prime_power(rows, rhs, p, e)
         if status == "unsat":
             return ColoringInfeasible(r=r, modulus=p ** e, detail=result)
         q = p ** e
-        residues = [_crt_pair(a, m, result[j], q) for j, (a, m) in enumerate(residues)]
-    phi = OddColoring(r=r, phi=tuple(a % r for a, _m in residues))
-    if not verify_certificate(obj, phi):
+        lift = pow(modulus, -1, q)
+        phi = [a + modulus * ((x - a) * lift % q) for a, x in zip(phi, result)]
+        modulus *= q
+    coloring = OddColoring(r=r, phi=tuple(phi))
+    if not verify_certificate(obj, coloring):
         raise RuntimeError("internal error: solver produced a non-verifying coloring")
-    return phi
+    return coloring
 
 
 def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
     """Find an odd transversal of a tensor or hypergraph, or show none exists."""
     _r, n = _arity(obj)
-    patterns = support_patterns(obj)
-    masks = []
-    for pat in patterns:
-        mask = 0
-        for j in pat:
-            mask ^= 1 << (j - 1)  # multiplicity mod 2
-        masks.append(mask)
+    # bit j of a row's mask: vertex j+1 occurs an odd number of times
+    bits = np.packbits(_incidence(obj) & 1, axis=1, bitorder="little")
+    words = np.zeros((len(bits), -(-n // 64) * 8), dtype=np.uint8)
+    words[:, :bits.shape[1]] = bits
+    words = words.view("<u8")  # 64 vertices a word
+    masks = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        masks = [m | w << 64 * k for m, w in zip(masks, words[:, k].tolist())]
     status, result = _solve_gf2(masks, [1] * len(masks), n)
     if status == "unsat":
+        patterns = support_patterns(obj)
         idxs = tuple(i for i in range(len(patterns)) if (result >> i) & 1)
         return TransversalInfeasible(
             n=n, pattern_indices=idxs,
@@ -340,7 +336,6 @@ def coloring_to_transversal(phi: OddColoring) -> OddTransversal:
 def verify_certificate(obj, cert: OddColoring | OddTransversal) -> bool:
     """Check a certificate against every support pattern of a tensor/graph."""
     r, n = _arity(obj)
-    patterns = support_patterns(obj)
     if isinstance(cert, OddColoring):
         if r % 2:
             raise OddColoringUndefinedError(
@@ -349,13 +344,12 @@ def verify_certificate(obj, cert: OddColoring | OddTransversal) -> bool:
             raise ValueError(
                 f"certificate shape (r={cert.r}, n={cert.n}) does not match "
                 f"target (r={r}, n={n})")
-        target = r // 2
-        return all(sum(cert.phi[j - 1] for j in pat) % r == target
-                   for pat in patterns)
+        wide = np.min_scalar_type(-r * r)  # holds every row sum, below r * r
+        sums = _incidence(obj).astype(wide, copy=False) @ np.array(cert.phi, dtype=wide)
+        return bool(np.all(sums % r == r // 2))
     if isinstance(cert, OddTransversal):
         if cert.n != n:
             raise ValueError(f"certificate n={cert.n} does not match target n={n}")
-        members = set(cert.vertices)
-        return all(sum(1 for j in pat if j in members) % 2 == 1
-                   for pat in patterns)
+        members = np.array(cert.vertices, dtype=np.intp) - 1
+        return bool(np.all(_incidence(obj)[:, members].sum(axis=1) % 2 == 1))
     raise TypeError(f"unknown certificate type {type(cert).__name__}")

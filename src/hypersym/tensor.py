@@ -21,7 +21,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
@@ -205,8 +205,22 @@ def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int, n: int,
     return {k: acc[k] for k in sorted(acc) if acc[k]}
 
 
+def pattern_incidence(patterns: Sequence[Index], r: int, n: int) -> np.ndarray:
+    """Multiplicity of each vertex (column) in each r-pattern (row).
+
+    The dtype is the narrowest signed integer that holds r.
+    """
+    flat = chain.from_iterable(patterns)
+    keys = np.fromiter(flat, dtype=np.intp, count=len(patterns) * r).reshape(-1, r) - 1
+    out = np.zeros((len(keys), n), dtype=np.min_scalar_type(-r - 1))
+    rows = np.arange(len(keys))
+    for col in keys.T:  # one position at a time: no row repeats in an update
+        out[rows, col] += 1
+    return out
+
+
 def _once(method):
-    """Compute a no-argument method once per tensor and keep it in ``_cache``."""
+    """Compute a no-argument method once per object and keep it in ``_cache``."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -376,6 +390,11 @@ class CubicalTensor:
         if self._orbits is not None:
             return tuple(self._orbits)
         return tuple(sorted({tuple(sorted(idx)) for idx in self._entries}))
+
+    @_once
+    def _incidence(self) -> np.ndarray:
+        """Pattern-incidence array: [i, j] counts vertex j+1 in pattern i."""
+        return pattern_incidence(self._patterns(), self.r, self.n)
 
     @_once
     def _nnz(self) -> int:
@@ -667,12 +686,13 @@ def is_bipartite_2matrix(a: CubicalTensor) -> tuple[tuple[int, ...], tuple[int, 
     """
     if a.r != 2:
         raise ValueError("bipartition test is defined for r=2 matrices only")
-    adj: dict[int, set[int]] = {k: set() for k in range(1, a.n + 1)}
-    for (i, j), _ in a.entries.items():
-        if i == j:
-            return None  # diagonal entry: no zero-block partition
-        adj[i].add(j)
-        adj[j].add(i)
+    # undirected adjacency; a diagonal entry makes a vertex its own
+    # neighbour, which no 2-coloring allows
+    succ = a._digraph()
+    adj: dict[int, set[int]] = {k: set(vs) for k, vs in succ.items()}
+    for i, vs in succ.items():
+        for j in vs:
+            adj[j].add(i)
     color: dict[int, int] = {}
     for start in range(1, a.n + 1):
         if start in color:

@@ -328,3 +328,24 @@ def test_criterion_11_two_part_family_k2():
 
     assert isinstance(odd_transversal(g), TransversalInfeasible)
     assert isinstance(odd_transversal(a), TransversalInfeasible)
+
+
+@criterion(12, "k = 2 three-part family: 191,268 8-edges, coloring verifies, no odd transversal")
+def test_criterion_12_three_part_family_k2():
+    g, _phi = gen_prop5_graph(2, 12, 12, 8)
+    assert (g.r, g.n, len(g.edges)) == (8, 32, 191_268)
+
+    coloring = odd_coloring(g)
+    assert isinstance(coloring, OddColoring)
+    assert verify_certificate(g, coloring)
+    assert all(sum(coloring.phi[v - 1] for v in e) % 8 == 4 for e in g.edges)
+
+    refutation = odd_transversal(g)
+    assert isinstance(refutation, TransversalInfeasible)
+    # the named edges sum to 0 == 1 over GF(2): every vertex is hit evenly
+    hits = [0] * g.n
+    for e in refutation.patterns:
+        for v in e:
+            hits[v - 1] += 1
+    assert len(refutation.patterns) % 2 == 1 and all(h % 2 == 0 for h in hits)
+    assert refutation.patterns == tuple(g.edges[i] for i in refutation.pattern_indices)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import hypersym as hs
+from hypersym import cli
 from hypersym.cli import main
 
 
@@ -419,3 +421,110 @@ class TestSubprocessContract:
         assert second.returncode == 0
         data = json.loads(second.stdout)
         assert abs(data["lambda"][0] - 108.0) <= 1e-6
+
+
+# Instances for the parity verbs: every fixture, plus `gen` output.
+PARITY_SOURCES = {
+    "h2": ["fixture", "h2"], "a1": ["fixture", "a1"], "a2": ["fixture", "a2"],
+    "order6": ["fixture", "order6"], "prop4-k1": ["fixture", "prop4-k1"],
+    "prop5-k1": ["fixture", "prop5-k1"],
+    **{f"edge-r{r}": ["fixture", "edge-r", "--r", str(r)] for r in (2, 3, 4, 5, 6, 8)},
+    "gen-prop4-4-4": ["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4"],
+    "gen-prop4-5-7": ["gen", "prop4", "--k", "1", "--size-a", "5", "--size-b", "7"],
+    "gen-prop5-6-6-4": ["gen", "prop5", "--k", "1", "--size-a", "6",
+                        "--size-b", "6", "--size-c", "4"],
+    "gen-prop5-7-6-5": ["gen", "prop5", "--k", "1", "--size-a", "7",
+                        "--size-b", "6", "--size-c", "5"],
+}
+
+# sha256 of the stdout of each parity verb that exits 0 on an instance,
+# recorded with the list-based elimination the numpy solver replaced.  The
+# payloads hold integers only, so the bytes do not depend on float output.
+PARITY_STDOUT_SHA256 = {
+    ("odd-coloring", "h2"): "8fc817d57296bafed620e8bf159b845a30e42f0cf3360250935d7fed8d72e228",
+    ("odd-transversal", "h2"): "8011aafc5ae25dc5f1b40cccf5c8731a86b12c01d54e7e78c2c97a734886bbee",
+    ("odd-coloring", "a1"): "8fc817d57296bafed620e8bf159b845a30e42f0cf3360250935d7fed8d72e228",
+    ("odd-transversal", "a1"): "c91aa2bfd66299c4619a355a6f39b2bfc5fa58f7fee2f9da256170a3f78b270f",
+    ("odd-coloring", "a2"): "b9b1321607ad90c65440d3ac88c435890d1e54da0206c2a932a53a5be4df0167",
+    ("odd-transversal", "a2"): "af5abc71900a9f31b3b0335a555c89f0349b0854857f4dafbc8309c39e7a1a7a",
+    ("odd-transversal", "order6"): "b0ab7ac55523b8ecf5d3e13c8bf1406682a35beea252a79f216362f4dc1f35e0",
+    ("odd-coloring", "prop4-k1"): "28e223d422a860fe8b5df5b9258a87ffdb463d968205ad53995e2eb6cd2abf5b",
+    ("odd-transversal", "prop4-k1"): "d7d2dabf5bfe2fbbcfaed91dd09b2fb81ab0e55d034c0ee93193fffb2b358e60",
+    ("odd-coloring", "prop5-k1"): "104b8e2cdc312faef06e1b390298c121f2f186dae20079b9fea4d53239893c28",
+    ("odd-transversal", "prop5-k1"): "ca83e7f0a71952e0a9305194fbb1392fd5c404e62f2715cb6946a9352d1b1877",
+    ("odd-coloring", "edge-r2"): "49a73d20be6667a3730a6f559005c78becbcadc0cfac894ee4f0a96cb33397c3",
+    ("odd-transversal", "edge-r2"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-transversal", "edge-r3"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-coloring", "edge-r4"): "274eb02d8ad14e40f7b2b4260ca1720a8a693d3c91d9d9badce3488897a3cd63",
+    ("odd-transversal", "edge-r4"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-transversal", "edge-r5"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-coloring", "edge-r6"): "4f2ce5c4a26ad83f43e9ea91737a0a99d157bcb93d708f85006174332f641c1a",
+    ("odd-transversal", "edge-r6"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-coloring", "edge-r8"): "8ec9a0e5adaf1e0009dbdf3cda1fc887a0285ae42e4b83f1d177f0bd4d4e25e6",
+    ("odd-transversal", "edge-r8"): "918f666f69a096d21ebd27846421057d526847203e43f6e9d7a7b105f7f6d80a",
+    ("odd-coloring", "gen-prop4-4-4"): "28e223d422a860fe8b5df5b9258a87ffdb463d968205ad53995e2eb6cd2abf5b",
+    ("odd-transversal", "gen-prop4-4-4"): "d7d2dabf5bfe2fbbcfaed91dd09b2fb81ab0e55d034c0ee93193fffb2b358e60",
+    ("odd-coloring", "gen-prop4-5-7"): "b5076c33114c3c57e1ac98dac8ade8c9807ae27323d9870699c4d2eb26e66130",
+    ("odd-transversal", "gen-prop4-5-7"): "3a2eacf68d7c4fda04683ad04d320754eda84c22b1419ee695841d20a23d6593",
+    ("odd-coloring", "gen-prop5-6-6-4"): "104b8e2cdc312faef06e1b390298c121f2f186dae20079b9fea4d53239893c28",
+    ("odd-transversal", "gen-prop5-6-6-4"): "ca83e7f0a71952e0a9305194fbb1392fd5c404e62f2715cb6946a9352d1b1877",
+    ("odd-coloring", "gen-prop5-7-6-5"): "01015de573d48aafb3560629ca3aacc4c5a8d1f8a2909d835ece4763ab776c12",
+    ("odd-transversal", "gen-prop5-7-6-5"): "6716c7153c3e183ca8b89b16d66b94aa40ac455e5a16d7d35018d4d8c6571351",
+}
+
+
+@pytest.mark.parametrize("verb,source", sorted(PARITY_STDOUT_SHA256))
+def test_parity_stdout_bytes_pinned(tmp_path, capsys, verb, source):
+    doc = str(tmp_path / "input.json")
+    assert main([*PARITY_SOURCES[source], "--output", doc]) == 0
+    assert main([verb, "--input", doc]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PARITY_STDOUT_SHA256[verb, source]
+
+
+class TestParserReuse:
+    """`main` builds its parser once; no call may leak into the next one."""
+
+    SEQUENCE = [
+        ["fixture", "order6", "--output", "{dir}/order6.json"],
+        ["fixture", "edge-r", "--r", "4", "--output", "{dir}/edge4.json"],
+        ["fixture", "h2"],  # the --r of the previous call must not carry over
+        ["rho", "--input", "{dir}/path3.json", "--tol", "1e-300", "--max-iter", "2"],  # exits 4
+        ["rho", "--input", "{dir}/order6.json"],
+        ["odd-coloring"],  # no --input: argparse exits 2
+        ["odd-coloring", "--input", "{dir}/edge4.json"],
+        ["odd-transversal", "--input", "{dir}/order6.json"],
+        ["frobnicate", "--input", "{dir}/order6.json"],  # exits 2
+        ["gen", "prop5", "--k", "1", "--size-a", "6", "--size-b", "6", "--size-c", "4"],
+        ["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4"],
+        ["check-symmetric", "--input", "{dir}/edge4.json"],
+        ["charpoly", "--input", "{dir}/order6.json"],  # n = 6: exits 3
+    ]
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_back_to_back_calls_match_solo_calls(self, tmp_path, capsys):
+        path3 = hs.Hypergraph(2, 3, [(1, 2), (2, 3)])
+        (tmp_path / "path3.json").write_text(json.dumps(path3.to_json_dict()))
+        argvs = [[arg.format(dir=tmp_path) for arg in argv] for argv in self.SEQUENCE]
+        in_a_row = [self.call(argv, capsys) for argv in argvs]
+        codes = [code for code, _out, _err in in_a_row]
+        assert {0, 2, 3, 4} <= set(codes)
+        for argv, seen in zip(argvs, in_a_row):
+            cli._parser.cache_clear()  # as in a fresh process
+            assert self.call(argv, capsys) == seen, argv
+
+    def test_parser_built_once_on_first_call(self, capsys):
+        cli._parser.cache_clear()
+        assert cli._parser.cache_info().currsize == 0
+        main(["fixture", "h2"])
+        main(["fixture", "a1"])
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hypersym as hs
 from hypersym import (
@@ -25,6 +29,8 @@ from hypersym import (
     transversal_to_coloring,
     verify_certificate,
 )
+from hypersym import parity
+from hypersym.parity import _solve_mod_prime_power
 
 from conftest import random_hypergraph, random_tensor
 
@@ -215,6 +221,24 @@ class TestOddTransversal:
         a = CubicalTensor(2, 2, [((1, 1), 1)])
         assert isinstance(odd_transversal(a), TransversalInfeasible)
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+    def test_paths_and_odd_cycles_past_one_word(self, n):
+        # the GF(2) rows hold 64 vertices a machine word: a path is
+        # bipartite, so every second vertex is a transversal, while an odd
+        # cycle refutes with all of its edges
+        path = Hypergraph(2, n, [(v, v + 1) for v in range(1, n)])
+        x = odd_transversal(path)
+        assert x.vertices in (tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
+        cycle = Hypergraph(2, n, [(v, v % n + 1) for v in range(1, n + 1)])
+        refutation = odd_transversal(cycle)
+        if n % 2:
+            assert sorted(refutation.patterns) == list(cycle.edges)
+        else:
+            assert verify_certificate(cycle, refutation)
+        # multiplicity counts mod 2: (1, 1, 1, n) is the row of {1, n}
+        a = CubicalTensor(4, n, [((1, 1, 1, n), 1), ((1, 2, 2, n), 1)])
+        assert odd_transversal(a).vertices == (1,)
+
     def test_tensor_route_agrees_with_graph_route(self):
         g, _ = gen_prop4_graph(1, 4, 4)
         a = adjacency_tensor(g)
@@ -292,3 +316,159 @@ class TestComplementProperty:
                     vertices=tuple(v for v in range(1, n + 1) if v not in x),
                 )
                 assert verify_certificate(g, comp)
+
+
+# ---------------------------------------------------------------------------
+# the numpy elimination over Z/p^e against the Python loop it replaced
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)]
+
+
+def _valuation(a: int, p: int) -> int:
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def oracle_solve_mod_prime_power(rows, rhs, ncols, p, e):
+    """The list-of-lists elimination, kept verbatim as the reference."""
+    mod = p ** e
+    m = [[v % mod for v in row] for row in rows]
+    b = [v % mod for v in rhs]
+    nrows = len(m)
+    pivots = []  # (row, col, p^v, unit)
+    used_cols = set()
+    top = 0
+    while top < nrows:
+        best = None
+        for i in range(top, nrows):
+            for j in range(ncols):
+                if j in used_cols:
+                    continue
+                a = m[i][j]
+                if a == 0:
+                    continue
+                v = _valuation(a, p)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == 0:
+                        break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, pi, pj = best
+        m[top], m[pi] = m[pi], m[top]
+        b[top], b[pi] = b[pi], b[top]
+        pv = p ** v
+        unit = (m[top][pj] // pv) % mod
+        inv_unit = pow(unit, -1, mod)
+        for i in range(top + 1, nrows):
+            a = m[i][pj]
+            if a:
+                t = ((a // pv) * inv_unit) % mod
+                if t:
+                    m[i] = [(m[i][j] - t * m[top][j]) % mod for j in range(ncols)]
+                    b[i] = (b[i] - t * b[top]) % mod
+        pivots.append((top, pj, pv, unit))
+        used_cols.add(pj)
+        top += 1
+    for i in range(top, nrows):
+        if b[i] % mod:
+            return "unsat", f"0 == {b[i]} (mod {mod}) after elimination"
+    x = [0] * ncols
+    for row, col, pv, unit in reversed(pivots):
+        s = b[row]
+        for j in range(ncols):
+            if j != col and m[row][j]:
+                s -= m[row][j] * x[j]
+        s %= mod
+        if s % pv:
+            return "unsat", (f"pivot equation needs {s} divisible by {pv} "
+                             f"(mod {mod})")
+        x[col] = ((s // pv) * pow(unit, -1, mod)) % (mod // pv)
+    return "sat", x
+
+
+@st.composite
+def residue_systems(draw):
+    """Systems with zero rows, rows of high p-valuation and repeated rows
+    whose own right side often contradicts the first copy."""
+    p, e = draw(st.sampled_from(PRIME_POWERS))
+    mod = p ** e
+    ncols = draw(st.integers(1, 6))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["zero", "high-valuation", "any", "repeat"]))
+        if kind == "repeat" and rows:
+            row = list(rows[draw(st.integers(0, len(rows) - 1))])
+        elif kind == "zero":
+            row = [0] * ncols
+        else:
+            scale = p ** draw(st.integers(1, e)) if kind == "high-valuation" else 1
+            row = [scale * draw(st.integers(-mod, 2 * mod)) for _ in range(ncols)]
+        rows.append(row)
+        rhs.append(draw(st.integers(-mod, 2 * mod)))
+    return p, e, ncols, rows, rhs
+
+
+class TestPrimePowerElimination:
+    @PROPERTY
+    @given(residue_systems())
+    @example((2, 2, 1, [[2]], [1]))  # 2x == 1 (mod 4): the pivot equation fails
+    @example((3, 2, 2, [[0, 0]], [4]))  # 0 == 4 (mod 9) after elimination
+    @example((2, 3, 3, [], []))  # no rows: x = 0
+    def test_matches_python_oracle(self, system):
+        p, e, ncols, rows, rhs = system
+        expected = oracle_solve_mod_prime_power(rows, rhs, ncols, p, e)
+        args = (np.array(rows, dtype=np.int64).reshape(len(rows), ncols),
+                np.array(rhs, dtype=np.int64), p, e)
+        got = _solve_mod_prime_power(*args)
+        assert got == expected
+        # the pivot search scans rows by blocks; tiny blocks split every system
+        for rows_per_block in (1, 3):
+            with mock.patch.object(parity, "_SCAN_ROWS", rows_per_block):
+                assert _solve_mod_prime_power(*args) == expected
+        status, x = got
+        if status == "sat":
+            mod = p ** e
+            assert all((sum(a * v for a, v in zip(row, x)) - b) % mod == 0
+                       for row, b in zip(rows, rhs))
+
+    def test_both_refutations_are_reached(self):
+        four = _solve_mod_prime_power(np.array([[2]]), np.array([1]), 2, 2)
+        assert four == ("unsat", "pivot equation needs 1 divisible by 2 (mod 4)")
+        nine = _solve_mod_prime_power(np.array([[3], [3]]), np.array([3, 6]), 3, 2)
+        assert nine == ("unsat", "0 == 3 (mod 9) after elimination")
+
+
+@st.composite
+def small_pattern_tensors(draw):
+    """Order-r tensors on n <= 4 vertices, one unit value per drawn multiset."""
+    r = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    n = draw(st.integers(1, 4))
+    pattern = st.lists(st.integers(1, n), min_size=r, max_size=r)
+    patterns = draw(st.lists(pattern, min_size=1, max_size=5))
+    return CubicalTensor(r, n, [(pat, 1) for pat in patterns])
+
+
+@PROPERTY
+@given(small_pattern_tensors())
+def test_odd_coloring_against_brute_force(a):
+    r, n = a.r, a.n
+    patterns = support_patterns(a)
+    # every phi in (Z_r)^n at once: row t of `grid` is one assignment
+    grid = np.array(list(product(range(r), repeat=n)), dtype=np.int64)
+    counts = np.array([[pat.count(j) for j in range(1, n + 1)] for pat in patterns])
+    feasible = bool(np.any(np.all((grid @ counts.T) % r == r // 2, axis=1)))
+    result = odd_coloring(a)
+    assert isinstance(result, OddColoring) == feasible
+    if feasible:
+        assert all(sum(result.phi[j - 1] for j in pat) % r == r // 2
+                   for pat in patterns)
+    else:
+        assert r % result.modulus == 0

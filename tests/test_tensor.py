@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersym as hs
 from hypersym import (
@@ -306,6 +309,31 @@ class TestBipartite2Matrix:
     def test_requires_r2(self):
         with pytest.raises(ValueError):
             is_bipartite_2matrix(CubicalTensor(3, 2, []))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                           st.sampled_from([1, -2, "1/3", (0, 1)])), max_size=12),
+        st.booleans())))
+    def test_against_networkx(self, case):
+        # any nonzero entry is an edge; (i, i) is a self-loop
+        n, entries, by_orbit = case
+        items = [((i, j), ExactComplex(*v) if isinstance(v, tuple) else v)
+                 for i, j, v in entries]
+        build = CubicalTensor.from_orbits if by_orbit else CubicalTensor
+        a = build(2, n, items)
+        g = nx.Graph()
+        g.add_nodes_from(range(1, n + 1))
+        g.add_edges_from(idx for idx in a.entries)
+        parts = is_bipartite_2matrix(a)
+        assert (parts is not None) == nx.is_bipartite(g)
+        if parts is not None:
+            u_side, w_side = parts
+            assert sorted(u_side + w_side) == list(range(1, n + 1))
+            assert all((i in u_side) != (j in u_side) for i, j in g.edges)
+            # each component's smallest vertex, isolated ones included, is in U
+            assert all(min(comp) in u_side for comp in nx.connected_components(g))
 
 
 class TestJson:
