@@ -89,8 +89,8 @@ class Hypergraph:
 
 def adjacency_tensor(g: Hypergraph) -> CubicalTensor:
     """Symmetric 0/1 tensor with value 1 at every permutation of every edge."""
-    one = ExactComplex(1)
-    return CubicalTensor.from_orbits(g.r, g.n, [(edge, one) for edge in g.edges])
+    # the edges are already sorted, distinct and in range: they are the orbits
+    return CubicalTensor._stored(g.r, g.n, None, dict.fromkeys(g.edges, ExactComplex(1)))
 
 
 def is_connected(g: Hypergraph) -> bool:

@@ -5,9 +5,12 @@ A cubical hypermatrix of order ``n`` with ``r`` indices is a map
 exact complex rationals, so symmetry checks, diagonal similarities and
 polynomial work are exact.  A general tensor is stored sparsely by index
 tuple; a symmetric one may be stored by orbit, one value per sorted index
-multiset, which is how hypergraph adjacency tensors are built.  Values
-degrade to floating point only inside iterative numerics, which all read
-one float kernel cached on the tensor.
+multiset, which is how hypergraph adjacency tensors are built.  A tensor
+document is read in one pass, and its values are interned per document:
+each distinct raw value is parsed once, and the entries that carry it share
+one immutable ExactComplex, so predicates and float conversions run once
+per distinct value.  Values degrade to floating point only inside iterative
+numerics, which all read one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -16,6 +19,7 @@ Eigenpairs follow the homogeneous eigenvalue equation
 from __future__ import annotations
 
 import functools
+import re
 import sys
 from collections import deque
 from collections.abc import Mapping
@@ -155,6 +159,27 @@ def encode_value(v: ExactComplex) -> str | list:
     return [_encode_component(v.re), _encode_component(v.im)]
 
 
+# The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _check_exponent(part: str, obj) -> None:
+    """Reject a decimal exponent past the int/str digit limit (0: no limit).
+
+    Fraction builds 10**exponent, which for "1e999999999" runs for hours.
+    The limit is the one Python applies to integer strings.
+    """
+    # Python before 3.10.7 has no such limit: use the default of later versions
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    m = _EXPONENT.search(part)
+    if m is None or not limit:
+        return
+    digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ValueError(f"tensor value {obj!r} has a decimal exponent beyond "
+                         f"{limit} in magnitude")
+
+
 def parse_value(obj) -> ExactComplex:
     """Parse an entry value: a number, a "p/q" string, or a [re, im] pair."""
     parts = obj if isinstance(obj, (list, tuple)) else (obj, 0)
@@ -164,10 +189,34 @@ def parse_value(obj) -> ExactComplex:
         # a bool is an int, but not a tensor value
         if isinstance(part, bool) or not isinstance(part, (int, float, str)):
             raise ValueError(f"cannot parse tensor value {obj!r}")
+        if isinstance(part, str):
+            _check_exponent(part, obj)
     try:
         return ExactComplex(*parts)
     except OverflowError:  # an infinite float
         raise ValueError(f"tensor value {obj!r} is not finite") from None
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(f"tensor value {obj!r} has a zero denominator") from None
+
+
+# JSON scalar types a value or a component of a [re, im] value may have.
+_VALUE_TYPES = frozenset((int, float, str))
+
+
+def _value_key(obj):
+    """Hashable stand-in for a raw JSON value, tagged by type; None if there is none.
+
+    Keys are equal only for values of one type that compare equal, so 1,
+    1.0, True, "1" and [1, 0] never share a key.
+    """
+    t = type(obj)
+    if t in _VALUE_TYPES:
+        return t, obj
+    if t is list and len(obj) == 2:
+        re_part, im_part = obj
+        if type(re_part) in _VALUE_TYPES and type(im_part) in _VALUE_TYPES:
+            return (type(re_part), re_part), (type(im_part), im_part)
+    return None
 
 
 Index = tuple[int, ...]
@@ -257,6 +306,13 @@ class CubicalTensor:
         self._set(r, n, _accumulate(items, r, n, by_orbit=False), None)
 
     @classmethod
+    def _stored(cls, r: int, n: int, entries, orbits) -> "CubicalTensor":
+        """A tensor on storage that is already checked, summed, zero-free and sorted."""
+        out = cls.__new__(cls)
+        out._set(r, n, entries, orbits)
+        return out
+
+    @classmethod
     def from_orbits(cls, r: int, n: int,
                     orbits: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]]
                     ) -> "CubicalTensor":
@@ -267,9 +323,7 @@ class CubicalTensor:
         """
         _check_shape(r, n)
         items = orbits.items() if isinstance(orbits, Mapping) else orbits
-        out = cls.__new__(cls)
-        out._set(r, n, None, _accumulate(items, r, n, by_orbit=True))
-        return out
+        return cls._stored(r, n, None, _accumulate(items, r, n, by_orbit=True))
 
     def _set(self, r: int, n: int, entries, orbits) -> None:
         object.__setattr__(self, "r", r)
@@ -336,11 +390,11 @@ class CubicalTensor:
 
     @_once
     def is_real(self) -> bool:
-        return all(v.is_real for v in self._store().values())
+        return all(v.is_real for v in self._distinct_values()[0])
 
     @_once
     def is_nonnegative(self) -> bool:
-        return all(v.is_real and v.re >= 0 for v in self._store().values())
+        return all(v.is_real and v.re >= 0 for v in self._distinct_values()[0])
 
     def diagonal(self) -> list[ExactComplex]:
         """The r-fold diagonal [a_{11...1}, ..., a_{nn...n}]."""
@@ -440,14 +494,29 @@ class CubicalTensor:
         return keys[source, pos], np.ascontiguousarray(tails), source, count
 
     @_once
+    def _distinct_values(self) -> tuple[list[ExactComplex], np.ndarray]:
+        """The stored value objects, each once, and each entry's place among them.
+
+        Entries read from equal JSON values share one object, so whatever is
+        tested or converted per object is done once per distinct value.
+        """
+        values = self._store().values()
+        distinct = {id(v): v for v in values}
+        place = {key: i for i, key in enumerate(distinct)}
+        where = np.fromiter(map(place.__getitem__, map(id, values)), dtype=np.intp,
+                            count=len(values))
+        return list(distinct.values()), where
+
+    @_once
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float COO kernel of F: ``(heads, tails, weights)``."""
         heads, tails, source, count = self._rows()
-        values = self._store().values()
+        distinct, where = self._distinct_values()
         if self.is_real():
-            vals = np.array([float(v.re) for v in values], dtype=np.float64)
+            table = np.array([float(v.re) for v in distinct], dtype=np.float64)
         else:
-            vals = np.array([complex(v) for v in values], dtype=np.complex128)
+            table = np.array([complex(v) for v in distinct], dtype=np.complex128)
+        vals = table[where]
         if source is not None:
             vals = vals[source] * count
         return heads, tails, vals
@@ -473,19 +542,55 @@ class CubicalTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubicalTensor":
+        """Tensor of a JSON document, read in one pass over its entry records.
+
+        Each distinct raw value is parsed once per document, and the entries
+        that carry it share one ExactComplex.  Of several faults in one
+        document the one reported is the first malformed record or value,
+        else a bad r or n, else the first bad index tuple.
+        """
         try:
             r, n, raw = data["r"], data["n"], data["entries"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"tensor JSON must have keys r, n, entries: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError("tensor JSON 'entries' must be a list")
-        items = []
+        try:
+            _check_shape(r, n)
+            fault = None
+        except ValueError as exc:
+            fault = str(exc)
+        parsed: dict = {}  # _value_key of a raw value -> its value
+        acc: dict[Index, ExactComplex] = {}
         for rec in raw:
             if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
                     or "v" not in rec):
                 raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
-            items.append((rec["i"], parse_value(rec["v"])))
-        return cls(r, n, items)
+            obj = rec["v"]
+            key = _value_key(obj)
+            value = parsed.get(key)  # never stored under None
+            if value is None:
+                # every zero is _ZERO, so pruning below is an identity test
+                value = parse_value(obj) or _ZERO
+                if key is not None:
+                    parsed[key] = value
+            if fault is not None:  # only records and values are left to check
+                continue
+            idx = tuple(rec["i"])
+            if len(idx) != r:
+                fault = f"index tuple {idx} does not have length r={r}"
+                continue
+            for j in idx:
+                if type(j) is not int or not 1 <= j <= n:
+                    fault = f"index {j!r} out of range 1..{n} in {idx}"
+                    break
+            else:
+                old = acc.get(idx)
+                acc[idx] = value if old is None else (old + value) or _ZERO
+        if fault is not None:
+            raise ValueError(fault)
+        return cls._stored(r, n, {idx: acc[idx] for idx in sorted(acc)
+                                  if acc[idx] is not _ZERO}, None)
 
 
 class _OrbitEntries(Mapping):

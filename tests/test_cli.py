@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -366,13 +367,24 @@ class TestUsageErrors:
         assert code == 2 and data is None
 
     @pytest.mark.parametrize("value", ["[true, 0]", "[1, false]", "[null, 1]", "Infinity",
-                                       "[0, -Infinity]"])
+                                       "[0, -Infinity]", '"1/0"', '[1, "2/0"]'])
     def test_bad_value_component_exit_2(self, tmp_path, capsys, value):
         p = tmp_path / "value.json"
         p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": %s}]}' % value)
         code, data = run(tmp_path, "odd-transversal", "--input", str(p))
         assert code == 2 and data is None
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ['"1e999999999"', '"1e-999999999"', '[0, "2.5E+1_000_000_000"]'])
+    def test_huge_decimal_exponent_exits_2_at_once(self, tmp_path, capsys, value):
+        # Fraction would build 10**exponent, which runs for hours
+        p = tmp_path / "value.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": %s}]}' % value)
+        start = time.perf_counter()
+        code, data = run(tmp_path, "rho", "--input", str(p))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and data is None
+        assert "decimal exponent" in capsys.readouterr().err
 
     def test_boolean_vertex_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bool.json"
@@ -480,6 +492,51 @@ def test_parity_stdout_bytes_pinned(tmp_path, capsys, verb, source):
     assert main([verb, "--input", doc]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == PARITY_STDOUT_SHA256[verb, source]
+
+
+# The adjacency tensors of two fixtures written as tensor documents, so that
+# the pins below also cover the tensor ingest.
+TENSOR_SOURCES = {
+    "tensor-edge-r4": lambda: hs.fixture("edge-r", r=4),
+    "tensor-prop4-k1": lambda: hs.fixture("prop4-k1"),
+}
+
+# sha256 of the stdout of rho on each instance where it exits 0 (h2, a1 and
+# a2 exit 3), recorded with the two-pass tensor ingest.  verify-eigenpair on
+# the pair rho wrote recomputes it and prints the same bytes.
+RHO_STDOUT_SHA256 = {
+    "order6": "b34db2988fe3920c450f2851db05620fede5465a78f7807f6b873886de968030",
+    "prop4-k1": "2640fa08a2661d85e0058e22f88c42888842885397ad1718df281fc0c76bd459",
+    "prop5-k1": "1112fd622815049f1c6122ee20c1037e1238634fd499e88c1bd832733ce95e17",
+    "edge-r2": "e68ed0f58e89789b40e5ba73e5539aee2cddd4cf8344722fe715b00cb8e89d15",
+    "edge-r3": "1d40a568d8b96a5c0c1f046f66cccb2d407c866bffd9c24467a58477338978a1",
+    "edge-r4": "5444a70faf5ad6271d90f3edd66e753da795e0bffe08681e9a61f3e1a0c5fd4a",
+    "edge-r5": "8ea2dd726fa54527578b26fbe31eb163cc6924295ea696fc66a77d369b9abf2f",
+    "edge-r6": "91f7a5de1a21b35af94207b05b75f9127379d16a770057f030b6bda755f9a4ee",
+    "edge-r8": "24013dfb9608990a106b870028f6cd2e10e6562c4c8f5cbe618d4254abc5306d",
+    "gen-prop4-4-4": "2640fa08a2661d85e0058e22f88c42888842885397ad1718df281fc0c76bd459",
+    "gen-prop4-5-7": "a275adab28c7afe41165e3c44d5b549a7abdc83e8bbe588db42f6deff1a2a0eb",
+    "gen-prop5-6-6-4": "1112fd622815049f1c6122ee20c1037e1238634fd499e88c1bd832733ce95e17",
+    "gen-prop5-7-6-5": "75b25a98db164d43cb88e4e74cd9111d63fda95c2a838b116f5737842a796d27",
+    "tensor-edge-r4": "739febfb7b1c9af280fe06fc3a1383f4767567dbd1fa4a0c53fc8b58be28429d",
+    "tensor-prop4-k1": "c18db5251fcb54f16c941699c98658a2711844b24a7ff3dd0bc22f772ce7d1bb",
+}
+
+
+@pytest.mark.parametrize("source", sorted(RHO_STDOUT_SHA256))
+def test_rho_and_verify_eigenpair_stdout_bytes_pinned(tmp_path, capsys, source):
+    doc = tmp_path / "input.json"
+    if source in TENSOR_SOURCES:
+        doc.write_text(json.dumps(hs.adjacency_tensor(TENSOR_SOURCES[source]()).to_json_dict()))
+    else:
+        assert main([*PARITY_SOURCES[source], "--output", str(doc)]) == 0
+    assert main(["rho", "--input", str(doc)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == RHO_STDOUT_SHA256[source]
+    pair = tmp_path / "pair.json"
+    pair.write_bytes(out)
+    assert main(["verify-eigenpair", "--input", str(doc), "--pair", str(pair)]) == 0
+    assert capsys.readouterr().out.encode() == out
 
 
 class TestParserReuse:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypersym as hs
@@ -28,6 +29,7 @@ from hypersym import (
     polynomial_form,
 )
 from hypersym.jsonio import dumps_canonical, parse_tensor_or_graph
+from hypersym.tensor import parse_value
 
 from conftest import random_symmetric_tensor, random_tensor
 
@@ -354,3 +356,118 @@ class TestJson:
         assert dumps_canonical({"b": 1, "a": 2}).index('"a"') < dumps_canonical(
             {"b": 1, "a": 2}
         ).index('"b"')
+
+
+def two_step_ingest(data) -> CubicalTensor:
+    """The tensor ingest before the one-pass loop: parse every value, then construct."""
+    try:
+        r, n, raw = data["r"], data["n"], data["entries"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"tensor JSON must have keys r, n, entries: {exc}") from exc
+    if not isinstance(raw, list):
+        raise ValueError("tensor JSON 'entries' must be a list")
+    items = []
+    for rec in raw:
+        if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
+                or "v" not in rec):
+            raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
+        items.append((rec["i"], parse_value(rec["v"])))
+    return CubicalTensor(r, n, items)
+
+
+# Equal values in several JSON forms, and pairs that cancel when summed.
+GOOD_VALUES = [1, 1.0, "1", "2/4", [1, 0], [0, 1], -1, "-1/2", [-1, 0], [0, -1], 0.5,
+               "0.5e0", 0, "0", [0, 0], [1, "1/3"], "-2/6", 2]
+BAD_VALUES = [True, False, float("nan"), float("inf"), [[1], 0], [1], [1, 2, 3], {"re": 1},
+              None, "abc", "1/0", [1, True], [1, "2/0"]]
+
+
+# Faults in an index tuple, each applied to a valid tuple of r indices in 1..n.
+BAD_INDEX = {
+    "long": lambda i, n: i + [1],
+    "short": lambda i, n: i[1:],
+    "zero": lambda i, n: [0] + i[1:],
+    "over": lambda i, n: i[:-1] + [n + 1],
+    "bool": lambda i, n: i[:-1] + [True],
+    "string": lambda i, n: ["1"] + i[1:],
+    "nested": lambda i, n: [[1]] + i[1:],
+}
+
+
+@st.composite
+def tensor_documents(draw):
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 3))
+    index = st.lists(st.integers(1, n), min_size=r, max_size=r)
+    records = draw(st.lists(st.fixed_dictionaries(
+        {"i": index, "v": st.sampled_from(GOOD_VALUES)}), max_size=25))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        fault = draw(st.sampled_from(["value", "record", *BAD_INDEX]))
+        if fault == "value":
+            rec = {"i": draw(index), "v": draw(st.sampled_from(BAD_VALUES))}
+        elif fault == "record":
+            rec = draw(st.sampled_from([5, [1, 2], {"i": [1] * r}, {"i": 1, "v": 1}, {"v": 1}]))
+        else:
+            rec = {"i": BAD_INDEX[fault](draw(index), n), "v": draw(st.sampled_from(GOOD_VALUES))}
+        records.insert(draw(st.integers(0, len(records))), rec)
+    r, n = draw(st.sampled_from([(r, n)] * 6 + [(1, n), (r, 0), (r, True), ("3", n)]))
+    return {"r": r, "n": n, "entries": records}
+
+
+def _ingest(read, doc):
+    try:
+        return read(doc)
+    except Exception as exc:  # noqa: BLE001  (the oracle compares what is raised)
+        return type(exc), str(exc)
+
+
+class TestJsonIngest:
+    """The one-pass ingest against the two-step one it replaced."""
+
+    # Several faults: a record or value fault wins over a bad r or n, which
+    # wins over a bad index, whatever the order of the records.
+    @example({"r": 2, "n": 2, "entries": [{"i": [1], "v": 1}, {"i": [1, 2], "v": "x"}]})
+    @example({"r": 2, "n": 2, "entries": [{"i": [1, 3], "v": 1}, {"v": 1}]})
+    @example({"r": 2, "n": 0, "entries": [{"i": [1, 3], "v": 1}, {"i": [1, 1], "v": 2}]})
+    @example({"r": 1, "n": 2, "entries": [{"i": [1, 1], "v": 1}, {"i": [1, 1], "v": [1]}]})
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(tensor_documents())
+    def test_matches_two_step_ingest(self, doc):
+        new = _ingest(CubicalTensor.from_json_dict, doc)
+        old = _ingest(two_step_ingest, doc)
+        if isinstance(old, CubicalTensor):
+            assert isinstance(new, CubicalTensor)
+            assert (new.r, new.n) == (old.r, old.n)
+            assert list(new.entries.items()) == list(old.entries.items())
+            assert new == old and dumps_canonical(new.to_json_dict()) == dumps_canonical(
+                old.to_json_dict())
+        else:
+            assert new == old
+
+    def test_bool_after_equal_int_rejected(self):
+        doc = {"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": True}]}
+        with pytest.raises(ValueError, match="cannot parse tensor value True"):
+            CubicalTensor.from_json_dict(doc)
+
+    def test_equal_raw_values_share_one_object(self):
+        doc = {"r": 2, "n": 3, "entries": [
+            {"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}, {"i": [1, 3], "v": "1"},
+            {"i": [3, 1], "v": 1.0}, {"i": [2, 3], "v": [1, 0]}, {"i": [3, 2], "v": "1"}]}
+        a = CubicalTensor.from_json_dict(doc)
+        assert a.entry((1, 2)) is a.entry((2, 1))
+        assert a.entry((1, 3)) is a.entry((3, 2))
+        assert a.entry((1, 3)) is not a.entry((1, 2))  # "1" and 1 are parsed apart
+        assert len({id(v) for v in a.entries.values()}) == 4
+        # the values live as long as one call: a second read shares none
+        assert CubicalTensor.from_json_dict(doc).entry((1, 2)) is not a.entry((1, 2))
+
+    def test_decimal_exponent_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int/str digit limit is off")
+        assert parse_value(f"1e{limit}") == ExactComplex(Fraction(10) ** limit)  # 1e4300
+        assert parse_value(f"1e-{limit}") == ExactComplex(Fraction(1, 10**limit))
+        assert parse_value(["2.5E+3", "1e-3"]) == ExactComplex(2500, Fraction(1, 1000))
+        for text in (f"1e{limit + 1}", f"-1E-{limit + 1}", "1e999999999", "1.5e-999_999_999"):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                parse_value(text)
