@@ -248,18 +248,21 @@ def charpoly_2matrix(a: CubicalTensor) -> UniPoly:
 
 
 def charpoly_tensor(a: CubicalTensor) -> UniPoly:
-    """Exact characteristic polynomial for n <= 3 and r in {2, 3, 4, 5}.
+    """Exact characteristic polynomial for r = 2 at any n, else n <= 3 and r <= 5.
 
     Monic of degree n * (r-1)^(n-1): the resultant of the forms
     lam * x_k^(r-1) - F_k, computed as one shifted determinant (quotient of
     two for n = 3) of the integer Macaulay matrix of -L * F, L the common
-    denominator of the entries, in mu = L * lam.
+    denominator of the entries, in mu = L * lam.  For r = 2 that matrix is
+    -L * A, and `charpoly_2matrix` takes it directly.
     """
+    if a.r == 2:
+        return charpoly_2matrix(a)
     if a.n > 3:
         raise ValueError(
             f"exact tensor characteristic polynomials are limited to n <= 3, "
             f"got n={a.n}")
-    if a.r not in (2, 3, 4, 5):
+    if a.r not in (3, 4, 5):
         raise ValueError(f"supported index counts are r in {{2,3,4,5}}, got r={a.r}")
     _require_real_rational(a, "charpoly_tensor")
     from .resultants import shifted_resultant_coeffs  # on first use, as above
@@ -276,15 +279,9 @@ def charpoly_tensor(a: CubicalTensor) -> UniPoly:
         form = forms[idx[0] - 1]
         form[key] = form.get(key, 0) + v
     p = _scaled(shifted_resultant_coeffs(forms, [r - 1] * n), scale)
-    if p.degree != degree:
+    if p.degree != degree or not p.is_monic():
         raise RuntimeError(
-            f"internal error: resultant degree {p.degree} != expected {degree}")
-    lead = p.coeffs[-1]
-    if lead == -1:
-        p = UniPoly([-c for c in p.coeffs])
-    elif lead != 1:
-        raise RuntimeError(
-            f"internal error: resultant leading coefficient {lead} is not +-1")
+            f"internal error: resultant is not monic of degree {degree}")
     return p
 
 
@@ -322,22 +319,18 @@ class ProductReport:
 def verify_component_product(a: CubicalTensor) -> ProductReport:
     """Check charpoly(A) == prod_i charpoly(A_i)^((r-1)^(n-n_i)) exactly.
 
-    Requires a symmetric, weakly reducible tensor.  For r = 2 the matrix
-    route covers any order; otherwise the n <= 3 resultant contract applies.
+    Requires a symmetric, weakly reducible tensor within the contract of
+    `charpoly_tensor`.
     """
     if not is_symmetric(a):
         raise ValueError("component product is defined for symmetric tensors")
     if is_weakly_irreducible(a):
         raise ValueError("tensor is weakly irreducible: nothing to verify")
-    if a.r != 2 and a.n > 3:
-        raise ValueError(
-            f"component product check needs n <= 3 for r >= 3, got n={a.n}")
-    chi = charpoly_2matrix if a.r == 2 else charpoly_tensor
-    lhs = chi(a)
+    lhs = charpoly_tensor(a)
     rhs = UniPoly([1])
     factors = []
     for vertices, sub in components(a).parts:
-        poly = chi(sub)
+        poly = charpoly_tensor(sub)
         expo = (a.r - 1) ** (a.n - len(vertices))
         factors.append((vertices, poly, expo))
         rhs = rhs * poly ** expo

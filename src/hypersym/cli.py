@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import fixtures
-from .charpoly import charpoly_2matrix, charpoly_tensor, verify_component_product
+from .charpoly import charpoly_tensor, verify_component_product
 from .hypergraph import Hypergraph, gen_prop4_graph, gen_prop5_graph
 from .jsonio import as_tensor, dumps_canonical, parse_tensor_or_graph
 from .parity import (ColoringInfeasible, OddColoring, OddTransversal,
@@ -205,13 +205,21 @@ def _run_check_symmetric(args) -> None:
     _emit(report.to_json_dict(), args.output)
 
 
+def _exact_payload(result) -> dict:
+    """JSON of an exact result; a coefficient past the int/str digit limit exits 2."""
+    try:
+        return result.to_json_dict()
+    except ValueError as exc:
+        # str() of an int past the limit; any other ValueError is not ours
+        if "integer string conversion" not in str(exc):
+            raise
+        raise _UsageError(f"the result has a coefficient of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from exc
+
+
 def _run_charpoly(args) -> None:
     tensor = as_tensor(_load_input(args.input))
-    if tensor.r == 2 and tensor.n > 3:
-        poly = charpoly_2matrix(tensor)
-    else:
-        poly = charpoly_tensor(tensor)
-    _emit(poly.to_json_dict(), args.output)
+    _emit(_exact_payload(charpoly_tensor(tensor)), args.output)
 
 
 def _run_verify_eigenpair(args) -> None:
@@ -226,8 +234,7 @@ def _run_verify_eigenpair(args) -> None:
 
 def _run_verify_product(args) -> None:
     tensor = as_tensor(_load_input(args.input))
-    report = verify_component_product(tensor)
-    _emit(report.to_json_dict(), args.output)
+    _emit(_exact_payload(verify_component_product(tensor)), args.output)
 
 
 def _run_gen(args) -> None:

@@ -2,7 +2,8 @@
 
 For a nonnegative weakly irreducible tensor the iteration on A + sI with a
 positive diagonal shift s converges from the uniform positive vector; the
-min/max ratio bracket pins the spectral radius to the requested tolerance.
+min/max ratio bracket pins the spectral radius to the requested tolerance,
+or to float precision when that is coarser.
 Parity certificates turn into diagonal unit maps that carry eigenpairs
 (lam, x) to (-lam, diag * x).
 """
@@ -78,13 +79,21 @@ class ConvergenceError(RuntimeError):
             f"iterations; spectral radius bracketed in [{lower!r}, {upper!r}]")
 
 
+# The exact bracket never widens but can hold still while x moves.  A stall
+# is an iteration whose bracket is no narrower than the narrowest so far and
+# whose step max|x_new - x| is within 2^10 ulps of max x, i.e. rounding; 3 in
+# a row mean float precision has been reached.
+_STALL_ITERATIONS, _STALL_STEP = 3, 2.0 ** 10 * float(np.finfo(float).eps)
+
+
 def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
                           max_iter: int = 100_000) -> EigenPair:
     """Spectral radius and positive eigenvector of a nonnegative tensor.
 
     Requires real nonnegative entries and weak irreducibility.  Iterates
     x <- normalize((F(x) + s x^[r-1])^[1/(r-1)]) with shift s = 1 + max
-    diagonal entry; stops when the min/max eigenvalue bracket is within tol.
+    diagonal entry; stops when the min/max eigenvalue bracket is within tol,
+    or when it stalls at float precision (as for large spectral radii).
     """
     if not a.is_nonnegative():
         raise ValueError("power iteration requires real nonnegative entries")
@@ -100,17 +109,25 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
 
     x = np.full(n, n ** (-1.0 / r))
     lo = hi = math.nan
+    width, stalled = math.inf, 0
     for it in range(max_iter):
         xp = x ** p
         y = apply_array(a, x) + shift * xp
         ratios = y / xp
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift
-        if hi - lo <= tol:
+        x_new = y ** (1.0 / p)
+        x_new /= np.linalg.norm(x_new, ord=r)
+        if hi - lo < width:
+            width, stalled = hi - lo, 0
+        elif np.abs(x_new - x).max() <= _STALL_STEP * x.max():
+            stalled += 1
+        else:
+            stalled = 0
+        if width <= tol or stalled == _STALL_ITERATIONS:
             rho = 0.5 * (lo + hi)
             return EigenPair.certify(a, rho, x, kind="H")
-        x = y ** (1.0 / p)
-        x /= np.linalg.norm(x, ord=r)
+        x = x_new
     raise ConvergenceError(lo, hi, max_iter)
 
 

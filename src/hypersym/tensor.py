@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -522,14 +521,12 @@ class CubicalTensor:
         return heads, tails, vals
 
     @_once
-    def _digraph(self) -> dict[int, set[int]]:
+    def _arcs(self) -> np.ndarray:
+        """Arc matrix of the associated digraph: [k, j] is an arc k+1 -> j+1."""
         heads, tails, _source, _count = self._rows()
         arcs = np.zeros((self.n, self.n), dtype=bool)
         arcs[heads, tails] = True
-        succ: dict[int, set[int]] = {k: set() for k in range(1, self.n + 1)}
-        for k, j in zip(*(ix.tolist() for ix in np.nonzero(arcs))):
-            succ[k + 1].add(j + 1)
-        return succ
+        return arcs
 
     # -- JSON -------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -703,32 +700,27 @@ def digraph(a: CubicalTensor) -> dict[int, set[int]]:
     There is an arc k -> j iff some stored entry a_{k j_2 ... j_r} != 0 has
     j among its trailing indices.
     """
-    return {k: set(vs) for k, vs in a._digraph().items()}
+    return {k: set((np.flatnonzero(row) + 1).tolist())
+            for k, row in enumerate(a._arcs(), start=1)}
 
 
-def _reachable(succ: Mapping[int, set[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in succ[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _depths(arcs: np.ndarray, start: int) -> np.ndarray:
+    """Breadth-first depth of each vertex from ``start`` along ``arcs`` (-1: unreached)."""
+    depth = np.full(len(arcs), -1)
+    frontier = np.zeros(len(arcs), dtype=bool)
+    frontier[start] = True
+    level = 0
+    while frontier.any():
+        depth[frontier] = level
+        frontier = arcs[frontier].any(axis=0) & (depth < 0)
+        level += 1
+    return depth
 
 
 def is_weakly_irreducible(a: CubicalTensor) -> bool:
     """True iff the associated digraph is strongly connected."""
-    if a.n == 1:
-        return True
-    succ = a._digraph()
-    pred: dict[int, set[int]] = {k: set() for k in succ}
-    for u, vs in succ.items():
-        for v in vs:
-            pred[v].add(u)
-    full = set(range(1, a.n + 1))
-    return _reachable(succ, 1) == full and _reachable(pred, 1) == full
+    arcs = a._arcs()
+    return bool((_depths(arcs, 0) >= 0).all() and (_depths(arcs.T, 0) >= 0).all())
 
 
 @dataclass(frozen=True)
@@ -748,16 +740,17 @@ def components(a: CubicalTensor) -> ComponentDecomposition:
     if not is_symmetric(a):
         raise ValueError("components are defined for symmetric tensors only")
     # symmetry makes every arc two-way, so reachability is connectivity
-    succ = a._digraph()
-    unseen = set(range(1, a.n + 1))
+    arcs = a._arcs()
+    unseen = np.ones(a.n, dtype=bool)
     parts = []
     isolated = []
-    while unseen:
-        comp = sorted(_reachable(succ, min(unseen)))
-        unseen.difference_update(comp)
-        sub = a.principal_submatrix(comp)
-        parts.append((tuple(comp), sub))
-        if len(comp) == 1 and not a.entry((comp[0],) * a.r):
+    while unseen.any():
+        reached = _depths(arcs, int(unseen.argmax())) >= 0
+        unseen &= ~reached
+        comp = tuple((np.flatnonzero(reached) + 1).tolist())
+        parts.append((comp, a.principal_submatrix(comp)))
+        # a single vertex has an arc to itself only through its diagonal entry
+        if len(comp) == 1 and not arcs[comp[0] - 1, comp[0] - 1]:
             isolated.append(comp[0])
     return ComponentDecomposition(parts=tuple(parts), isolated=tuple(isolated))
 
@@ -791,27 +784,15 @@ def is_bipartite_2matrix(a: CubicalTensor) -> tuple[tuple[int, ...], tuple[int, 
     """
     if a.r != 2:
         raise ValueError("bipartition test is defined for r=2 matrices only")
-    # undirected adjacency; a diagonal entry makes a vertex its own
-    # neighbour, which no 2-coloring allows
-    succ = a._digraph()
-    adj: dict[int, set[int]] = {k: set(vs) for k, vs in succ.items()}
-    for i, vs in succ.items():
-        for j in vs:
-            adj[j].add(i)
-    color: dict[int, int] = {}
-    for start in range(1, a.n + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    u_side = tuple(k for k in range(1, a.n + 1) if color[k] == 0)
-    w_side = tuple(k for k in range(1, a.n + 1) if color[k] == 1)
+    # undirected arcs; a diagonal entry makes a vertex its own neighbour,
+    # which no 2-coloring allows
+    arcs = a._arcs() | a._arcs().T
+    side = np.full(a.n, -1)
+    while (side < 0).any():
+        depth = _depths(arcs, int((side < 0).argmax()))
+        side = np.where(depth >= 0, depth % 2, side)
+    if arcs[side[:, None] == side[None, :]].any():
+        return None
+    u_side = tuple((np.flatnonzero(side == 0) + 1).tolist())
+    w_side = tuple((np.flatnonzero(side == 1) + 1).tolist())
     return u_side, w_side

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 import math
 import random
 import time
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import hypersym as hs
+from hypersym import cli
 from hypersym import (
     ColoringInfeasible,
     CubicalTensor,
@@ -349,3 +351,19 @@ def test_criterion_12_three_part_family_k2():
             hits[v - 1] += 1
     assert len(refutation.patterns) % 2 == 1 and all(h % 2 == 0 for h in hits)
     assert refutation.patterns == tuple(g.edges[i] for i in refutation.pattern_indices)
+
+
+@criterion(13, "k = 2 three-part family through the CLI: check-symmetric certifies rho ~ 2.5e8")
+def test_criterion_13_three_part_family_k2_check_symmetric(tmp_path):
+    # rho is too large for a 1e-10 bracket in floats; the run ends at the
+    # power iteration's stall stop instead of running to max_iter
+    g, _phi = gen_prop5_graph(2, 12, 12, 8)
+    doc, out = tmp_path / "prop5-k2.json", tmp_path / "report.json"
+    doc.write_text(json.dumps(g.to_json_dict()))
+    assert cli.main(["check-symmetric", "--input", str(doc), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["symmetric"] and report["branch"] == "colorable"
+    (witness,) = report["witness_pairs"]
+    assert witness["component"] == list(range(1, 33))
+    assert witness["plus"]["residual"] <= 1e-8
+    assert witness["minus"]["residual"] <= 1e-8

@@ -28,6 +28,7 @@ from hypersym import (
     verify_component_product,
 )
 
+from hypersym.charpoly import _cleared, _scaled
 from hypersym.resultants import (
     DegenerateNode,
     det_fractions,
@@ -35,6 +36,7 @@ from hypersym.resultants import (
     macaulay_matrix,
     macaulay_resultant_3,
     shifted_det_coeffs,
+    shifted_resultant_coeffs,
     sylvester_resultant,
 )
 
@@ -216,10 +218,18 @@ class TestCharpolyTensor:
             assert p == UniPoly([0] * deg + [1]), (n, r)
 
     def test_agrees_with_matrix_route(self, rng):
+        # charpoly_tensor sends r = 2 to charpoly_2matrix; the resultant
+        # engine on the linear forms of the same matrix must agree with it
         for _ in range(8):
             n = rng.randint(1, 3)
             a = random_tensor(rng, n, 2, density=0.7)
-            assert charpoly_tensor(a) == charpoly_2matrix(a)
+            scale, items = _cleared(a)
+            forms = [{} for _ in range(n)]
+            for (i, j), v in items:
+                key = tuple(int(k == j) for k in range(1, n + 1))
+                forms[i - 1][key] = forms[i - 1].get(key, 0) + v
+            engine = _scaled(shifted_resultant_coeffs(forms, [1] * n), scale)
+            assert charpoly_tensor(a) == charpoly_2matrix(a) == engine
 
     def test_matches_sympy_resultant_n2(self, rng):
         for _ in range(6):

@@ -386,6 +386,30 @@ class TestUsageErrors:
         assert code == 2 and data is None
         assert "decimal exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb,doc", [
+        ("charpoly", '{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": "1eL"}, '
+                     '{"i": [2, 1], "v": 1}]}'),
+        ("verify-product", '{"r": 2, "n": 3, "entries": [{"i": [1, 2], "v": "1eL"}, '
+                           '{"i": [2, 1], "v": "1eL"}]}'),
+    ], ids=["charpoly", "verify-product"])
+    def test_coefficient_past_digit_limit_exit_2(self, tmp_path, capsys, verb, doc):
+        # 1e4300 parses, but the charpoly has a coefficient of 10^4300 or more
+        limit = sys.get_int_max_str_digits()
+        p = tmp_path / "value.json"
+        p.write_text(doc.replace("L", str(limit)))
+        code, data = run(tmp_path, verb, "--input", str(p))
+        assert code == 2 and data is None
+        assert f"more than {limit} digits" in capsys.readouterr().err
+
+    def test_other_serialization_error_is_no_usage_error(self, tmp_path, monkeypatch):
+        # only the digit limit is an input error; anything else stays exit 3
+        def broken(self):
+            raise ValueError("not a digit limit")
+        monkeypatch.setattr(hs.UniPoly, "to_json_dict", broken)
+        p = tmp_path / "edge.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}]}')
+        assert run(tmp_path, "charpoly", "--input", str(p)) == (3, None)
+
     def test_boolean_vertex_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bool.json"
         p.write_text('{"r": 2, "n": 3, "edges": [[true, 3], [2, 3]]}')

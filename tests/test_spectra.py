@@ -5,8 +5,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import hypersym as hs
@@ -138,6 +140,50 @@ class TestPowerIteration:
             spectral_radius_power(a, tol=1e-300, max_iter=2)
         assert exc.value.lower <= exc.value.upper
         assert exc.value.iterations == 2
+
+    def test_large_rho_stops_at_float_precision(self):
+        # times 10^12 the float bracket stalls about 0.01 wide, far above tol,
+        # so only the stall stop ends the run
+        orbits = {(1, 2, 3, 4): 1, (1, 2, 3, 5): 1, (1, 1, 4, 5): 1, (2, 5, 5, 5): 1}
+        small = spectral_radius_power(CubicalTensor.from_orbits(4, 5, orbits))
+        big = spectral_radius_power(
+            CubicalTensor.from_orbits(4, 5, {k: v * 10**12 for k, v in orbits.items()}))
+        assert big.lam.real == pytest.approx(small.lam.real * 10**12, rel=1e-12)
+        assert big.residual <= 1e-12
+
+    def test_bracket_held_by_the_graph_is_no_stall(self):
+        # A 4 x 4 torus grid and a 7-cycle, one edge of each cut and the ends
+        # cross-joined: every degree stays 4 or 2.  From the uniform start the
+        # bracket is exactly [2, 4] for several iterations, so a stall stop
+        # that ignored its width would report rho = 3.
+        t, c = 4, 7
+        grid = lambda i, j: (i % t) * t + j % t + 1
+        edges = {tuple(sorted((grid(i, j), grid(i + di, j + dj))))
+                 for i in range(t) for j in range(t) for di, dj in ((1, 0), (0, 1))}
+        edges |= {(t * t + k, t * t + k % c + 1) for k in range(1, c)} | {(t * t + 1, t * t + c)}
+        edges -= {(1, 2), (t * t + 1, t * t + 2)}
+        edges |= {(1, t * t + 1), (2, t * t + 2)}
+        a = adjacency_tensor(Hypergraph(2, t * t + c, sorted(edges)))
+        pair = spectral_radius_power(a)
+        dense = np.zeros((a.n, a.n))
+        for i, j in edges:
+            dense[i - 1, j - 1] = dense[j - 1, i - 1] = 1
+        assert pair.lam.real == pytest.approx(np.linalg.eigvalsh(dense)[-1], abs=1e-9)
+        assert pair.residual <= 1e-10
+
+    def test_narrow_exact_plateau_is_no_stall(self):
+        # A 220-cycle with 21 consecutive edges of weight 1 + 1e-8.  From the
+        # uniform start the bracket is exactly [2, 2 + 2e-8] for several
+        # iterations while x still moves by millions of ulps; stopping there
+        # would report rho 8e-9 too high.
+        n, heavy, w = 220, 21, Fraction(100000001, 100000000)
+        orbits = {tuple(sorted((k + 1, (k + 1) % n + 1))): w if k < heavy else 1
+                  for k in range(n)}
+        pair = spectral_radius_power(CubicalTensor.from_orbits(2, n, orbits))
+        dense = np.zeros((n, n))
+        for (i, j), v in orbits.items():
+            dense[i - 1, j - 1] = dense[j - 1, i - 1] = float(v)
+        assert pair.lam.real == pytest.approx(np.linalg.eigvalsh(dense)[-1], abs=1e-10)
 
     def test_diagonal_shift_handles_loops(self):
         # dominant diagonal plus coupling still converges

@@ -270,6 +270,38 @@ class TestIrreducibilityAndComponents:
         assert [part for part, _ in dec.parts] == [(1,), (2,), (3,)]
         assert all(not sub.entries for _, sub in dec.parts)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_components_against_networkx(self, data):
+        # orbits only touch vertices 1..m, so the others are isolated or
+        # carry just a diagonal entry
+        r = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(1, 8))
+        m = data.draw(st.integers(1, n))
+        keys = st.lists(st.integers(1, m), min_size=r, max_size=r).map(lambda k: tuple(sorted(k)))
+        values = st.sampled_from([1, -2, "1/3"])
+        orbits = {key: data.draw(values) for key in data.draw(st.lists(keys, max_size=5))}
+        for k in data.draw(st.lists(st.integers(1, n), max_size=3)):
+            orbits[(k,) * r] = data.draw(values)
+        if data.draw(st.booleans()):
+            a = CubicalTensor.from_orbits(r, n, orbits)
+        else:
+            a = CubicalTensor(r, n, [(p, v) for key, v in orbits.items()
+                                     for p in set(permutations(key))])
+        g = nx.Graph()
+        g.add_nodes_from(range(1, n + 1))
+        for idx in a.entries:
+            g.add_edges_from((i, j) for i in idx for j in idx if i < j)
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(g))
+
+        dec = components(a)
+        assert [part for part, _ in dec.parts] == expected
+        # no entry joins two parts, so the parts' entries make up the tensor
+        assert sum(len(sub.entries) for _, sub in dec.parts) == len(a.entries)
+        assert dec.isolated == tuple(part[0] for part in expected if len(part) == 1
+                                     and (part[0],) * r not in a.entries)
+        assert is_weakly_irreducible(a) == nx.is_connected(g) == (len(expected) == 1)
+
     def test_components_requires_symmetric(self):
         with pytest.raises(ValueError):
             components(fixture("a1"))
