@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph, adjacency_tensor
 from .tensor import CubicalTensor, components, is_symmetric, is_weakly_irreducible
 
 __all__ = [
@@ -378,28 +377,22 @@ class MultiplicityReport:
 def isolated_vertex_multiplicity_check(obj) -> MultiplicityReport:
     """Adjoin one isolated vertex (r = 3, base n <= 2) and compare predictions.
 
-    Accepts a 3-uniform hypergraph or a symmetric r = 3 tensor of order
-    n <= 2 so the enlarged tensor stays within the exact n <= 3 contract.
+    Accepts a symmetric r = 3 tensor, such as a 3-uniform hypergraph, of
+    order n <= 2 so the enlarged tensor stays within the exact n <= 3 contract.
     """
-    if isinstance(obj, Hypergraph):
-        if obj.r != 3:
-            raise ValueError(f"isolated-vertex check is fixed at r=3, got r={obj.r}")
-        base_tensor = adjacency_tensor(obj)
-    elif isinstance(obj, CubicalTensor):
-        if obj.r != 3:
-            raise ValueError(f"isolated-vertex check is fixed at r=3, got r={obj.r}")
-        if not is_symmetric(obj):
-            raise ValueError("isolated-vertex check requires a symmetric tensor")
-        base_tensor = obj
-    else:
-        raise TypeError(f"expected Hypergraph or CubicalTensor, got {type(obj).__name__}")
-    n, r = base_tensor.n, base_tensor.r
+    if not isinstance(obj, CubicalTensor):
+        raise TypeError(f"expected CubicalTensor or Hypergraph, got {type(obj).__name__}")
+    if obj.r != 3:
+        raise ValueError(f"isolated-vertex check is fixed at r=3, got r={obj.r}")
+    if not is_symmetric(obj):
+        raise ValueError("isolated-vertex check requires a symmetric tensor")
+    n, r = obj.n, obj.r
     if n > 2:
         raise ValueError(
             f"base order must be n <= 2 so the enlarged tensor stays at "
             f"n <= 3, got n={n}")
-    enlarged = CubicalTensor(r, n + 1, list(base_tensor.entries.items()))
-    base = charpoly_tensor(base_tensor)
+    enlarged = CubicalTensor(r, n + 1, list(obj.entries.items()))
+    base = charpoly_tensor(obj)
     actual = charpoly_tensor(enlarged)
 
     scale = r - 1

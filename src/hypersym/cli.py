@@ -9,19 +9,17 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import fixtures
 from .charpoly import charpoly_tensor, verify_component_product
-from .hypergraph import Hypergraph, gen_prop4_graph, gen_prop5_graph
-from .jsonio import as_tensor, dumps_canonical, parse_tensor_or_graph
+from .hypergraph import gen_prop4_graph, gen_prop5_graph
+from .jsonio import dumps_canonical, parse_tensor_or_graph
 from .parity import (ColoringInfeasible, OddColoring, OddTransversal,
                      TransversalInfeasible, coloring_to_transversal,
                      odd_coloring, odd_transversal, transversal_to_coloring,
                      verify_certificate)
 from .spectra import (ConvergenceError, EigenPair,
                       check_symmetric_spectrum_certified, spectral_radius_power)
-from .tensor import CubicalTensor
 
 USAGE_ERROR, PRECONDITION_ERROR, CONVERGENCE_ERROR = 2, 3, 4
 
@@ -141,7 +139,7 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _run_rho(args) -> None:
-    tensor = as_tensor(_load_input(args.input))
+    tensor = _load_input(args.input)
     pair = spectral_radius_power(tensor, tol=args.tol, max_iter=args.max_iter)
     _emit(pair.to_json_dict(), args.output)
 
@@ -185,6 +183,8 @@ def _run_convert_certificate(args) -> None:
                               f"'odd-transversal', got {kind!r}")
     except KeyError as exc:
         raise _UsageError(f"certificate of kind {kind!r} lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise _UsageError(f"bad certificate document: {exc}") from exc
     if not verify_certificate(obj, cert):
         what = "coloring" if kind == "odd-coloring" else "transversal"
         raise ValueError(f"{what} does not verify against the input; "
@@ -199,7 +199,7 @@ def _run_convert_certificate(args) -> None:
 
 
 def _run_check_symmetric(args) -> None:
-    tensor = as_tensor(_load_input(args.input))
+    tensor = _load_input(args.input)
     report = check_symmetric_spectrum_certified(tensor, tol=args.tol,
                                                 max_iter=args.max_iter)
     _emit(report.to_json_dict(), args.output)
@@ -218,12 +218,12 @@ def _exact_payload(result) -> dict:
 
 
 def _run_charpoly(args) -> None:
-    tensor = as_tensor(_load_input(args.input))
+    tensor = _load_input(args.input)
     _emit(_exact_payload(charpoly_tensor(tensor)), args.output)
 
 
 def _run_verify_eigenpair(args) -> None:
-    tensor = as_tensor(_load_input(args.input))
+    tensor = _load_input(args.input)
     try:
         claimed = EigenPair.from_json_dict(_read_json(args.pair))
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -233,7 +233,7 @@ def _run_verify_eigenpair(args) -> None:
 
 
 def _run_verify_product(args) -> None:
-    tensor = as_tensor(_load_input(args.input))
+    tensor = _load_input(args.input)
     _emit(_exact_payload(verify_component_product(tensor)), args.output)
 
 

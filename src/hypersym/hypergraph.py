@@ -2,8 +2,8 @@
 
 An r-graph has edges that are r-element vertex subsets.  Its adjacency
 tensor places 1 at every permutation of every edge, so graph-level parity
-questions coincide with the tensor-level ones.  The tensor is stored by
-orbit, one value per edge.
+questions coincide with the tensor-level ones.  A Hypergraph is that
+tensor, stored by orbit with one value per edge.
 """
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .parity import OddColoring
-from .tensor import (CubicalTensor, ExactComplex, _once, is_weakly_irreducible,
-                     pattern_incidence)
+from .tensor import CubicalTensor, ExactComplex, _check_shape, is_weakly_irreducible
 
 __all__ = [
     "Hypergraph", "adjacency_tensor", "is_connected",
@@ -22,59 +21,42 @@ __all__ = [
 ]
 
 
-class Hypergraph:
-    """r-uniform hypergraph on vertices 1..n with set-valued edges."""
+class Hypergraph(CubicalTensor):
+    """r-uniform hypergraph on vertices 1..n: its adjacency tensor, value 1 per edge orbit.
 
-    __slots__ = ("r", "n", "_edges", "_cache")
+    Every tensor function reads a graph directly, and a graph compares and
+    hashes equal to its adjacency tensor.  A graph adds only its
+    constructor, its ``"edges"`` JSON schema, ``edges`` and ``degree``.
+    """
+
+    __slots__ = ()
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
-        if type(r) is not int or r < 2:
-            raise ValueError(f"uniformity r must be an integer >= 2, got {r}")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"order n must be an integer >= 1, got {n}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", n)
+        _check_shape(r, n)
         canon = set()
         for edge in edges:
+            for v in edge:  # before sorting, which needs comparable vertices
+                # type(v) is int, not isinstance: a bool is not a vertex
+                if type(v) is not int or not 1 <= v <= n:
+                    raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {tuple(edge)}")
             e = tuple(sorted(edge))
             if len(e) != r or len(set(e)) != r:
                 raise ValueError(f"edge {tuple(edge)} must have {r} distinct vertices")
-            for v in e:
-                # type(v) is int, not isinstance: a bool is not a vertex
-                if type(v) is not int or not 1 <= v <= n:
-                    raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {e}")
             canon.add(e)
-        object.__setattr__(self, "_edges", tuple(sorted(canon)))
-        object.__setattr__(self, "_cache", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypergraph is immutable")
+        self._set(r, n, None, dict.fromkeys(sorted(canon), ExactComplex(1)))
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self._edges
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (self.r, self.n, self._edges) == (other.r, other.n, other._edges)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.n, self._edges))
+        return self._patterns()
 
     def __repr__(self) -> str:
-        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self._edges)})"
-
-    @_once
-    def _incidence(self):
-        """Edge-incidence array: [i, j] counts vertex j+1 (0 or 1) in edge i."""
-        return pattern_incidence(self._edges, self.r, self.n)
+        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self.edges)})"
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self._edges if v in e)
+        return sum(1 for e in self.edges if v in e)
 
     def to_json_dict(self) -> dict:
-        return {"r": self.r, "n": self.n, "edges": [list(e) for e in self._edges]}
+        return {"r": self.r, "n": self.n, "edges": [list(e) for e in self.edges]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Hypergraph":
@@ -89,13 +71,13 @@ class Hypergraph:
 
 def adjacency_tensor(g: Hypergraph) -> CubicalTensor:
     """Symmetric 0/1 tensor with value 1 at every permutation of every edge."""
-    # the edges are already sorted, distinct and in range: they are the orbits
-    return CubicalTensor._stored(g.r, g.n, None, dict.fromkeys(g.edges, ExactComplex(1)))
+    # a plain CubicalTensor on the graph's orbits, so its JSON has "entries"
+    return CubicalTensor._stored(g.r, g.n, None, g._orbits)
 
 
 def is_connected(g: Hypergraph) -> bool:
     """Connectivity of the co-edge (2-section) graph on [n]."""
-    return is_weakly_irreducible(adjacency_tensor(g))
+    return is_weakly_irreducible(g)
 
 
 # ---------------------------------------------------------------------------

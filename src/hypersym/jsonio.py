@@ -2,17 +2,18 @@
 
 Writers emit sorted keys and floats with 17 significant digits, so equal
 in-memory objects always serialize to identical bytes and every float
-round-trips exactly.
+round-trips exactly.  A non-finite float has no JSON form and is refused.
 """
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .hypergraph import Hypergraph
 from .tensor import CubicalTensor
 
-__all__ = ["dumps_canonical", "parse_tensor_or_graph", "as_tensor"]
+__all__ = ["dumps_canonical", "parse_tensor_or_graph"]
 
 
 def _render(obj: Any, out: list[str]) -> None:
@@ -25,6 +26,8 @@ def _render(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{obj!r} has no JSON form: a result is not finite")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -58,7 +61,7 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(out)
 
 
-def parse_tensor_or_graph(data: dict) -> CubicalTensor | Hypergraph:
+def parse_tensor_or_graph(data: dict) -> CubicalTensor:
     """Dispatch a parsed JSON document on its schema ('entries' vs 'edges')."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -68,11 +71,3 @@ def parse_tensor_or_graph(data: dict) -> CubicalTensor | Hypergraph:
         return Hypergraph.from_json_dict(data)
     raise ValueError("JSON object is neither a tensor ('entries') nor a "
                      "hypergraph ('edges')")
-
-
-def as_tensor(obj: CubicalTensor | Hypergraph) -> CubicalTensor:
-    """The object itself, or the adjacency tensor of a hypergraph."""
-    if isinstance(obj, CubicalTensor):
-        return obj
-    from .hypergraph import adjacency_tensor
-    return adjacency_tensor(obj)

@@ -10,8 +10,8 @@ number of positions (counted with multiplicity).  Both reduce to linear
 systems over residue rings: one equation per distinct support multiset.
 
 Solvers and checks read one pattern-incidence array C, cached on the tensor
-or hypergraph: C[i, j] counts vertex j+1 in pattern i.  A coloring phi
-verifies when C @ phi == r/2 (mod r) row by row, a transversal X when
+(a hypergraph is one): C[i, j] counts vertex j+1 in pattern i.  A coloring
+phi verifies when C @ phi == r/2 (mod r) row by row, a transversal X when
 C[:, X] sums to an odd number in every row.  The residue system C phi ==
 r/2 is solved modulo each prime power p^e of r and recombined by CRT.  The
 elimination pivots on the row-major-first entry of minimum p-valuation
@@ -51,8 +51,9 @@ class OddColoring:
                 f"odd colorings need even r >= 2, got r={self.r}")
         object.__setattr__(self, "phi", tuple(self.phi))
         for v in self.phi:
-            if not isinstance(v, int) or not 0 <= v < self.r:
-                raise ValueError(f"residue {v} out of range 0..{self.r - 1}")
+            # type(v) is int, not isinstance: a bool is not a residue
+            if type(v) is not int or not 0 <= v < self.r:
+                raise ValueError(f"residue {v!r} out of range 0..{self.r - 1}")
 
     @property
     def n(self) -> int:
@@ -65,7 +66,10 @@ class OddColoring:
     def from_json_dict(cls, data: dict) -> "OddColoring":
         if data.get("kind") != "odd-coloring":
             raise ValueError(f"expected kind 'odd-coloring', got {data.get('kind')!r}")
-        return cls(r=data["r"], phi=tuple(data["phi"]))
+        r, phi = data["r"], data["phi"]
+        if type(r) is not int:
+            raise TypeError(f"coloring 'r' must be an integer, got {r!r}")
+        return cls(r=r, phi=_int_list(phi, "coloring 'phi'"))
 
 
 @dataclass(frozen=True)
@@ -75,13 +79,14 @@ class OddTransversal:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(self.vertices))
+        vs = tuple(self.vertices)
+        for v in vs:  # before sorting, which needs comparable vertices
+            # type(v) is int, not isinstance: a bool is not a vertex
+            if type(v) is not int or not 1 <= v <= self.n:
+                raise ValueError(f"vertex {v!r} out of range 1..{self.n}")
         if len(set(vs)) != len(vs):
             raise ValueError("transversal vertices must be distinct")
-        object.__setattr__(self, "vertices", vs)
-        for v in vs:
-            if not isinstance(v, int) or not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        object.__setattr__(self, "vertices", tuple(sorted(vs)))
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in set(self.vertices)
@@ -93,7 +98,14 @@ class OddTransversal:
     def from_json_dict(cls, data: dict, n: int) -> "OddTransversal":
         if data.get("kind") != "odd-transversal":
             raise ValueError(f"expected kind 'odd-transversal', got {data.get('kind')!r}")
-        return cls(n=n, vertices=tuple(data["X"]))
+        return cls(n=n, vertices=_int_list(data["X"], "transversal 'X'"))
+
+
+def _int_list(obj, what: str) -> tuple[int, ...]:
+    """A certificate document's list of integers, bools excluded, as a tuple."""
+    if type(obj) is not list or any(type(v) is not int for v in obj):
+        raise TypeError(f"{what} must be a list of integers, got {obj!r:.60}")
+    return tuple(obj)
 
 
 @dataclass(frozen=True)
@@ -116,22 +128,20 @@ class TransversalInfeasible:
 # support patterns
 # ---------------------------------------------------------------------------
 
+def _tensor(obj) -> CubicalTensor:
+    """``obj`` itself if it is a tensor (a Hypergraph is one), else a TypeError."""
+    if not isinstance(obj, CubicalTensor):
+        raise TypeError(f"expected CubicalTensor or Hypergraph, got {type(obj).__name__}")
+    return obj
+
+
 def support_patterns(obj) -> list[tuple[int, ...]]:
     """Distinct support multisets (sorted tuples) of a tensor or hypergraph.
 
     The parity congruences are permutation-invariant, so one row per
-    distinct multiset suffices; hypergraph edges are already such multisets.
+    distinct multiset suffices; a hypergraph's are its edges.
     """
-    if isinstance(obj, CubicalTensor):
-        return list(obj._patterns())
-    edges = getattr(obj, "edges", None)
-    if edges is not None:
-        return list(edges)
-    raise TypeError(f"expected CubicalTensor or Hypergraph, got {type(obj).__name__}")
-
-
-def _arity(obj) -> tuple[int, int]:
-    return obj.r, obj.n
+    return list(_tensor(obj)._patterns())
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +260,14 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
 # public solvers
 # ---------------------------------------------------------------------------
 
-def _incidence(obj) -> np.ndarray:
-    """The cached pattern-incidence array of a tensor or hypergraph."""
-    if not isinstance(obj, CubicalTensor) and getattr(obj, "edges", None) is None:
-        raise TypeError(f"expected CubicalTensor or Hypergraph, got {type(obj).__name__}")
-    return obj._incidence()
-
-
 def odd_coloring(obj) -> OddColoring | ColoringInfeasible:
     """Find an odd coloring of a tensor or hypergraph, or show none exists."""
-    r, n = _arity(obj)
+    tensor = _tensor(obj)
+    r, n = tensor.r, tensor.n
     if r % 2:
         raise OddColoringUndefinedError(
             f"odd colorings are defined for even r only, got r={r}")
-    rows = _incidence(obj)
+    rows = tensor._incidence()
     rhs = np.full(len(rows), r // 2)
     phi, modulus = [0] * n, 1  # lifted by CRT one prime power at a time
     for p, e in _prime_power_factors(r):
@@ -282,9 +286,10 @@ def odd_coloring(obj) -> OddColoring | ColoringInfeasible:
 
 def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
     """Find an odd transversal of a tensor or hypergraph, or show none exists."""
-    _r, n = _arity(obj)
+    tensor = _tensor(obj)
+    n = tensor.n
     # bit j of a row's mask: vertex j+1 occurs an odd number of times
-    bits = np.packbits(_incidence(obj) & 1, axis=1, bitorder="little")
+    bits = np.packbits(tensor._incidence() & 1, axis=1, bitorder="little")
     words = np.zeros((len(bits), -(-n // 64) * 8), dtype=np.uint8)
     words[:, :bits.shape[1]] = bits
     words = words.view("<u8")  # 64 vertices a word
@@ -335,7 +340,8 @@ def coloring_to_transversal(phi: OddColoring) -> OddTransversal:
 
 def verify_certificate(obj, cert: OddColoring | OddTransversal) -> bool:
     """Check a certificate against every support pattern of a tensor/graph."""
-    r, n = _arity(obj)
+    tensor = _tensor(obj)
+    r, n = tensor.r, tensor.n
     if isinstance(cert, OddColoring):
         if r % 2:
             raise OddColoringUndefinedError(
@@ -345,11 +351,11 @@ def verify_certificate(obj, cert: OddColoring | OddTransversal) -> bool:
                 f"certificate shape (r={cert.r}, n={cert.n}) does not match "
                 f"target (r={r}, n={n})")
         wide = np.min_scalar_type(-r * r)  # holds every row sum, below r * r
-        sums = _incidence(obj).astype(wide, copy=False) @ np.array(cert.phi, dtype=wide)
+        sums = tensor._incidence().astype(wide, copy=False) @ np.array(cert.phi, dtype=wide)
         return bool(np.all(sums % r == r // 2))
     if isinstance(cert, OddTransversal):
         if cert.n != n:
             raise ValueError(f"certificate n={cert.n} does not match target n={n}")
         members = np.array(cert.vertices, dtype=np.intp) - 1
-        return bool(np.all(_incidence(obj)[:, members].sum(axis=1) % 2 == 1))
+        return bool(np.all(tensor._incidence()[:, members].sum(axis=1) % 2 == 1))
     raise TypeError(f"unknown certificate type {type(cert).__name__}")

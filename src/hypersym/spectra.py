@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,18 @@ class EigenPair:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EigenPair":
-        lam = complex(data["lambda"][0], data["lambda"][1])
-        x = tuple(complex(p[0], p[1]) for p in data["x"])
+        lam = complex(_component(data["lambda"][0]), _component(data["lambda"][1]))
+        x = tuple(complex(_component(p[0]), _component(p[1])) for p in data["x"])
         return cls(lam=lam, x=x, residual=float(data["residual"]),
                    kind=data.get("kind", "general"))
+
+
+def _component(v) -> float:
+    """A real or imaginary part of a pair document: a finite int or float, not a bool."""
+    # inf, nan and an int past the float range fail the comparison
+    if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+        raise ValueError(f"eigenpair component {v!r:.60} is not a finite number")
+    return float(v)
 
 
 class ConvergenceError(RuntimeError):

@@ -253,20 +253,6 @@ def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int, n: int,
     return {k: acc[k] for k in sorted(acc) if acc[k]}
 
 
-def pattern_incidence(patterns: Sequence[Index], r: int, n: int) -> np.ndarray:
-    """Multiplicity of each vertex (column) in each r-pattern (row).
-
-    The dtype is the narrowest signed integer that holds r.
-    """
-    flat = chain.from_iterable(patterns)
-    keys = np.fromiter(flat, dtype=np.intp, count=len(patterns) * r).reshape(-1, r) - 1
-    out = np.zeros((len(keys), n), dtype=np.min_scalar_type(-r - 1))
-    rows = np.arange(len(keys))
-    for col in keys.T:  # one position at a time: no row repeats in an update
-        out[rows, col] += 1
-    return out
-
-
 def _once(method):
     """Compute a no-argument method once per object and keep it in ``_cache``."""
     name = method.__name__
@@ -304,10 +290,11 @@ class CubicalTensor:
         items = entries.items() if isinstance(entries, Mapping) else entries
         self._set(r, n, _accumulate(items, r, n, by_orbit=False), None)
 
-    @classmethod
-    def _stored(cls, r: int, n: int, entries, orbits) -> "CubicalTensor":
+    @staticmethod
+    def _stored(r: int, n: int, entries, orbits) -> "CubicalTensor":
         """A tensor on storage that is already checked, summed, zero-free and sorted."""
-        out = cls.__new__(cls)
+        # a plain tensor even when called on a subclass: a Hypergraph holds 1s only
+        out = CubicalTensor.__new__(CubicalTensor)
         out._set(r, n, entries, orbits)
         return out
 
@@ -332,7 +319,7 @@ class CubicalTensor:
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
-        raise AttributeError("CubicalTensor is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _store(self) -> dict[Index, ExactComplex]:
         return self._entries if self._orbits is None else self._orbits
@@ -385,7 +372,7 @@ class CubicalTensor:
                 raise ValueError("matrix rows must all have length n")
             for j, v in enumerate(row, start=1):
                 items.append(((i, j), v))
-        return cls(2, n, items)
+        return CubicalTensor(2, n, items)
 
     @_once
     def is_real(self) -> bool:
@@ -446,8 +433,18 @@ class CubicalTensor:
 
     @_once
     def _incidence(self) -> np.ndarray:
-        """Pattern-incidence array: [i, j] counts vertex j+1 in pattern i."""
-        return pattern_incidence(self._patterns(), self.r, self.n)
+        """Pattern-incidence array: [i, j] counts vertex j+1 in pattern i.
+
+        The dtype is the narrowest signed integer that holds r.
+        """
+        patterns, r = self._patterns(), self.r
+        flat = chain.from_iterable(patterns)
+        keys = np.fromiter(flat, dtype=np.intp, count=len(patterns) * r).reshape(-1, r) - 1
+        out = np.zeros((len(keys), self.n), dtype=np.min_scalar_type(-r - 1))
+        rows = np.arange(len(keys))
+        for col in keys.T:  # one position at a time: no row repeats in an update
+            out[rows, col] += 1
+        return out
 
     @_once
     def _nnz(self) -> int:

@@ -41,6 +41,16 @@ class TestRho:
         assert data["lambda"][1] == 0
         assert len(data["x"]) == 6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_radius_exit_3_with_empty_stdout(self, tmp_path, capsys):
+        # finite entries whose spectral radius overflows to inf: no JSON form
+        p = tmp_path / "huge.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1e308}, '
+                     '{"i": [2, 1], "v": 1e308}]}')
+        assert main(["rho", "--input", str(p)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "not finite" in err
+
     def test_graph_input_uses_adjacency(self, tmp_path):
         g = hs.Hypergraph(4, 4, [(1, 2, 3, 4)])
         p = tmp_path / "edge.json"
@@ -161,6 +171,14 @@ class TestConvertCertificate:
             {"kind": "odd-coloring", "phi": [3, 0, 0, 0, 0, 0]},
             {"kind": "odd-coloring", "r": 6},
             {"kind": "odd-transversal"},
+            # ill-typed fields; a bool is no residue or vertex, though these
+            # two would verify if true counted as 1
+            {"kind": "odd-coloring", "r": "6", "phi": [3, 0, 0, 0, 0, 0]},
+            {"kind": "odd-coloring", "r": 6, "phi": 5},
+            {"kind": "odd-coloring", "r": 6, "phi": [2, True, 0, 0, 0, 0]},
+            {"kind": "odd-transversal", "X": 5},
+            {"kind": "odd-transversal", "X": [1, "a"]},
+            {"kind": "odd-transversal", "X": [True]},
         ],
     )
     def test_certificate_missing_key_exit_2(self, tmp_path, capsys, doc):
@@ -239,6 +257,21 @@ class TestVerifyVerbs:
         assert code == 0
         assert data["residual"] <= 1e-12  # recomputed, not trusted
         assert data["kind"] == "H"
+
+    @pytest.mark.parametrize("lam,x0", [
+        ("[1e400, 0]", "[1, 0]"), ("[NaN, 0]", "[1, 0]"), ("[true, 0]", "[1, 0]"),
+        ("[1, 0]", "[1, -Infinity]"), ("[1, 0]", "[1%s, 0]" % ("0" * 400)),
+    ], ids=["lambda-inf", "lambda-nan", "lambda-bool", "x-inf", "x-huge-int"])
+    def test_non_finite_or_boolean_pair_exit_2(self, tmp_path, capsys, lam, x0):
+        path = write_fixture(tmp_path, "order6")
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"lambda": %s, "residual": 0, "x": [%s%s]}'
+                        % (lam, x0, ", [1, 0]" * 5))
+        code, data = run(
+            tmp_path, "verify-eigenpair", "--input", path, "--pair", str(pair)
+        )
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith("error: bad eigenpair document")
 
     def test_verify_product(self, tmp_path):
         path = write_fixture(tmp_path, "a2")
@@ -358,6 +391,10 @@ class TestUsageErrors:
             '{"r": 2, "n": 2, "entries": [{"i": 5, "v": 1}]}',
             '{"r": 2, "n": 2, "edges": 5}',
             '{"r": 2, "n": 2, "edges": [5]}',
+            # a vertex that does not compare with an int is checked before sorting
+            '{"r": 2, "n": 3, "edges": [["1", 2]]}',
+            '{"r": 2, "n": 3, "edges": [[1, [2]]]}',
+            '{"r": 2, "n": 3, "edges": [[null, 1]]}',
         ],
     )
     def test_non_list_index_exit_2(self, tmp_path, doc):

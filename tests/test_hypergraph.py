@@ -50,6 +50,21 @@ class TestHypergraph:
             Hypergraph(3, 4, [(1, 2, 5)])
         with pytest.raises(ValueError):
             Hypergraph(1, 4, [])
+        # vertices are type-checked before sorting: no TypeError from "<"
+        for edge in (("1", 2), (1, [2]), (None, 1), (True, 2), (1.0, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                Hypergraph(2, 3, [edge])
+
+    def test_graph_is_its_adjacency_tensor(self):
+        g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
+        assert isinstance(g, hs.CubicalTensor) and g._entries is None
+        assert set(g._orbits.values()) == {hs.ExactComplex(1)}
+        assert repr(g) == "Hypergraph(r=3, n=4, edges=2)"
+        assert g == adjacency_tensor(g) and hash(g) == hash(adjacency_tensor(g))
+        assert g.to_json_dict() == {"r": 3, "n": 4, "edges": [[1, 2, 3], [2, 3, 4]]}
+        assert "entries" in adjacency_tensor(g).to_json_dict()
+        with pytest.raises(AttributeError, match="Hypergraph is immutable"):
+            g.r = 4
 
     def test_degree(self):
         g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])

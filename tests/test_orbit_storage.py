@@ -30,6 +30,8 @@ from hypersym import (
     is_connected,
     is_symmetric,
     is_weakly_irreducible,
+    odd_coloring,
+    odd_transversal,
     polynomial_form,
 )
 
@@ -183,10 +185,24 @@ def test_adjacency_tensor_matches_permutation_expansion(g):
         g.r, g.n, [(perm, 1) for edge in g.edges for perm in permutations(edge)]
     )
     a = adjacency_tensor(g)
+    assert type(a) is CubicalTensor and a._orbits is g._orbits
     assert a.to_json_dict() == expanded.to_json_dict()
     assert a == expanded and hash(a) == hash(expanded)
+    assert g == a and hash(g) == hash(a)
     assert len(a.entries) == factorial(g.r) * len(g.edges)
     assert is_weakly_irreducible(a) == is_weakly_irreducible(expanded)
+    # the graph is its adjacency tensor: every tensor function reads it as one
+    assert is_weakly_irreducible(g) == is_weakly_irreducible(expanded)
+    assert odd_transversal(g) == odd_transversal(expanded)
+    if g.r % 2 == 0:
+        assert odd_coloring(g) == odd_coloring(expanded)
+    assert ([v for v, _ in components(g).parts]
+            == [v for v, _ in components(expanded).parts])
+    # the inherited constructors build plain tensors, whatever their values
+    orbits = {edge: 2 for edge in g.edges}
+    assert type(Hypergraph.from_orbits(g.r, g.n, orbits)) is CubicalTensor
+    matrix = [[1] * g.n for _ in range(g.n)]
+    assert type(Hypergraph.from_matrix(matrix)) is CubicalTensor
 
 
 @PROPERTY

@@ -74,6 +74,29 @@ class TestCertificateTypes:
         with pytest.raises(ValueError):
             OddTransversal(n=3, vertices=(0,))
 
+    def test_boolean_residue_or_vertex_rejected(self):
+        with pytest.raises(ValueError):
+            OddColoring(r=2, phi=(0, True))
+        with pytest.raises(ValueError):
+            OddTransversal(n=2, vertices=(True,))
+        with pytest.raises(ValueError):  # not a TypeError from sorting
+            OddTransversal(n=2, vertices=(1, "2"))
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "odd-coloring", "r": "2", "phi": [1, 0]},
+        {"kind": "odd-coloring", "r": True, "phi": [1, 0]},
+        {"kind": "odd-coloring", "r": 2, "phi": 5},
+        {"kind": "odd-coloring", "r": 2, "phi": [0, True]},
+    ])
+    def test_ill_typed_coloring_document_is_type_error(self, data):
+        with pytest.raises(TypeError):
+            OddColoring.from_json_dict(data)
+
+    @pytest.mark.parametrize("xs", [5, [1, "a"], [True], (1,)])
+    def test_ill_typed_transversal_document_is_type_error(self, xs):
+        with pytest.raises(TypeError):
+            OddTransversal.from_json_dict({"kind": "odd-transversal", "X": xs}, n=2)
+
     def test_json_round_trips(self):
         phi = OddColoring(r=6, phi=(3, 0, 0, 3))
         assert OddColoring.from_json_dict(phi.to_json_dict()) == phi

@@ -71,6 +71,14 @@ class TestEigenPair:
         assert again.kind == pair.kind
 
 
+    @pytest.mark.parametrize("lam,x0", [([math.inf, 0], [1, 0]), ([math.nan, 0], [1, 0]),
+                                        ([True, 0], [1, 0]), ([1, 0], [1, -math.inf]),
+                                        ([1, 0], [10 ** 400, 0]), ([1, 0], [False, 1])])
+    def test_from_json_dict_rejects_non_finite_and_boolean_components(self, lam, x0):
+        with pytest.raises(ValueError, match="eigenpair component"):
+            EigenPair.from_json_dict({"lambda": lam, "x": [x0, [1, 0]], "residual": 0})
+
+
 class TestPowerIteration:
     def test_uniform_cycle_tensor(self):
         pair = spectral_radius_power(fixture("order6"))

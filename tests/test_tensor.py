@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -381,6 +382,11 @@ class TestJson:
         a = CubicalTensor(2, 2, [((1, 2), ExactComplex(Fraction(1, 3), Fraction(-2, 7)))])
         again = parse_tensor_or_graph(a.to_json_dict())
         assert again == a
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_canonical_dump_refuses_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="not finite"):
+            dumps_canonical({"lambda": [1.0, value]})
 
     def test_canonical_dump_is_deterministic(self):
         a = fixture("order6")
