@@ -31,10 +31,12 @@ def _read_json(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past the int/str digit limit
         raise _UsageError(f"invalid JSON in {path}: {exc}") from exc
 
 

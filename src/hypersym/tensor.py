@@ -3,14 +3,18 @@
 A cubical hypermatrix of order ``n`` with ``r`` indices is a map
 ``(j_1, ..., j_r) -> a_{j_1 ... j_r}`` on ``[n]^r``.  Entries are kept as
 exact complex rationals, so symmetry checks, diagonal similarities and
-polynomial work are exact.  A general tensor is stored sparsely by index
-tuple; a symmetric one may be stored by orbit, one value per sorted index
-multiset, which is how hypergraph adjacency tensors are built.  A tensor
-document is read in one pass, and its values are interned per document:
-each distinct raw value is parsed once, and the entries that carry it share
-one immutable ExactComplex, so predicates and float conversions run once
-per distinct value.  Values degrade to floating point only inside iterative
-numerics, which all read one float kernel cached on the tensor.
+polynomial work are exact.  A general tensor is stored sparsely as arrays:
+its index tuples as the rows of one lexicographically sorted int64 array,
+its distinct values, and each row's place among them.  Support patterns,
+symmetry and the float kernel are computed from those arrays, and the
+``index tuple -> value`` dict is built only when a caller asks for
+``entries``.  A symmetric tensor may instead be stored by orbit, one value
+per sorted index multiset, which is how hypergraph adjacency tensors are
+built.  A tensor document's values are interned: each distinct raw value is
+parsed once, and the entries that carry it share one immutable
+ExactComplex, so predicates and float conversions run once per distinct
+value.  Values degrade to floating point only inside iterative numerics,
+which all read one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -24,8 +28,9 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain, compress, permutations, repeat
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
@@ -203,10 +208,11 @@ _VALUE_TYPES = frozenset((int, float, str))
 
 
 def _value_key(obj):
-    """Hashable stand-in for a raw JSON value, tagged by type; None if there is none.
+    """Hashable stand-in for a raw JSON value, tagged by type.
 
     Keys are equal only for values of one type that compare equal, so 1,
-    1.0, True, "1" and [1, 0] never share a key.
+    1.0, True, "1" and [1, 0] never share a key.  Any other value is keyed
+    by its id, and so shares a key with itself only.
     """
     t = type(obj)
     if t in _VALUE_TYPES:
@@ -215,10 +221,14 @@ def _value_key(obj):
         re_part, im_part = obj
         if type(re_part) in _VALUE_TYPES and type(im_part) in _VALUE_TYPES:
             return (type(re_part), re_part), (type(im_part), im_part)
-    return None
+    return id(obj)
 
 
 Index = tuple[int, ...]
+
+# Tuple storage is an (m, r) int64 array of indices in 1..n, so neither r
+# nor n may pass the int64 range.
+_INT64_MAX = 2**63 - 1
 
 
 def _check_shape(r, n) -> None:
@@ -227,30 +237,125 @@ def _check_shape(r, n) -> None:
         raise ValueError(f"index count r must be an integer >= 2, got {r}")
     if type(n) is not int or n < 1:
         raise ValueError(f"order n must be an integer >= 1, got {n}")
+    for name, size in (("index count r", r), ("order n", n)):
+        if size > _INT64_MAX:
+            raise ValueError(f"{name} must be at most 2**63 - 1 (the int64 limit), "
+                             f"got a {size.bit_length()}-bit integer")
 
 
-def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int, n: int,
-                by_orbit: bool) -> dict[Index, ExactComplex]:
-    """Validated, summed, zero-free and sorted ``key -> value`` storage.
-
-    Keys are index tuples, or their sorted forms when ``by_orbit``.
-    """
-    acc: dict[Index, ExactComplex] = {}
-    for idx, value in items:
+def _check_indices(indices: Iterable[Sequence[int]], r: int, n: int) -> None:
+    """Raise on the first index tuple of a length other than r or with an index not in 1..n."""
+    for idx in indices:
         key = tuple(idx)
         if len(key) != r:
             raise ValueError(f"index tuple {key} does not have length r={r}")
         for j in key:
             if type(j) is not int or not 1 <= j <= n:
                 raise ValueError(f"index {j!r} out of range 1..{n} in {key}")
-        if by_orbit:
-            key = tuple(sorted(key))
+
+
+def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int,
+                n: int) -> dict[Index, ExactComplex]:
+    """Validated, summed, zero-free and sorted ``multiset -> value`` orbit storage."""
+    acc: dict[Index, ExactComplex] = {}
+    for idx, value in items:
+        key = tuple(idx)
+        _check_indices((key,), r, n)
+        key = tuple(sorted(key))
         v = ExactComplex.coerce(value)
         if key in acc:
             acc[key] = acc[key] + v
         else:
             acc[key] = v
     return {k: acc[k] for k in sorted(acc) if acc[k]}
+
+
+def _lex_codes(rows: np.ndarray, n: int) -> np.ndarray | None:
+    """One int64 per row of indices in 1..n, in the rows' lexicographic order.
+
+    The code reads a row as digits in base n + 1; None when (n + 1)**r may
+    not fit in an int64.
+    """
+    if len(rows) < 2:  # any codes order fewer than two rows, however wide
+        return rows[:, 0]
+    r = rows.shape[1]
+    if r * n.bit_length() > 63:
+        return None
+    return rows @ ((n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64))
+
+
+def _index_array(r: int, n: int, indices: list) -> np.ndarray:
+    """The (m, r) int64 array of m index sequences; of several bad ones, the first is reported."""
+    flat = list(chain.from_iterable(indices))
+    keys = None
+    # type(j) is int, not isinstance: a bool is not an index
+    if set(map(len, indices)) <= {r} and set(map(type, flat)) <= {int}:
+        try:
+            keys = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(len(indices), r)
+        except OverflowError:  # an index past int64, so past n
+            pass
+    if keys is None or (len(keys) and (keys.min() < 1 or keys.max() > n)):
+        _check_indices(indices, r, n)
+    return keys
+
+
+def _tuple_storage(keys: np.ndarray, n: int, where,
+                   values: list[ExactComplex]) -> tuple[np.ndarray, np.ndarray, list[ExactComplex]]:
+    """Sorted, summed and zero-free tuple storage ``(keys, where, distinct)``.
+
+    Row t of the int64 array ``keys`` is an index tuple in 1..n with the
+    value ``values[where[t]]``.  The storage holds the distinct tuples as
+    rows in lexicographic order, the values they carry, each object once,
+    and each row's place among those values.  Rows with equal tuples are
+    summed in their given order.
+    """
+    m = len(keys)
+    where = np.array(where, dtype=np.intp)
+    # a stable sort, so that equal tuples are summed in their given order
+    code = _lex_codes(keys, n)
+    if code is None:
+        order = np.lexsort(keys.T[::-1])
+        keys, where = keys[order], where[order]
+        new = (keys[1:] != keys[:-1]).any(axis=1)
+    else:
+        if (code[1:] < code[:-1]).any():  # the documents this package writes are sorted
+            order = np.argsort(code, kind="stable")
+            code, keys, where = code[order], keys[order], where[order]
+        new = code[1:] != code[:-1]
+    values = list(values)
+    if not new.all():
+        starts = np.flatnonzero(np.concatenate(([True], new)))
+        ends = np.append(starts[1:], m)
+        repeated = ends - starts > 1
+        for s, e in zip(starts[repeated].tolist(), ends[repeated].tolist()):
+            total = values[where[s]]
+            for w in where[s + 1:e].tolist():
+                total = total + values[w]
+            where[s] = len(values)
+            values.append(total)
+        keys, where = keys[starts], where[starts]
+    if not all(values):
+        keep = np.fromiter(map(bool, values), dtype=bool, count=len(values))[where]
+        keys, where = keys[keep], where[keep]
+    used = np.zeros(len(values), dtype=bool)
+    used[where] = True
+    if not used.all():
+        where = (np.cumsum(used, dtype=np.intp) - 1)[where]
+        values = list(compress(values, used.tolist()))
+    keys.flags.writeable = where.flags.writeable = False
+    return keys, where, values
+
+
+def _orderings(multisets: np.ndarray, cap: int) -> np.ndarray:
+    """The number of distinct orderings of each sorted index row, capped at ``cap``."""
+    count = np.ones(len(multisets), dtype=np.int64)
+    run = np.ones(len(multisets), dtype=np.int64)
+    for pos in range(1, multisets.shape[1]):
+        run = np.where(multisets[:, pos] == multisets[:, pos - 1], run + 1, 1)
+        # r!/prod(m_i!) over the first pos+1 indices: exact below cap, and
+        # once at cap it stays there, since run <= pos + 1
+        count = np.minimum(count * (pos + 1) // run, cap)
+    return count
 
 
 def _once(method):
@@ -267,6 +372,37 @@ def _once(method):
     return cached
 
 
+_RECORD_INDEX, _RECORD_VALUE = itemgetter("i"), itemgetter("v")
+
+
+def _record_fault(raw: list) -> None:
+    """Raise the first malformed record or unparsable value of a tensor document."""
+    seen = set()
+    for rec in raw:
+        if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
+                or "v" not in rec):
+            raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
+        key = _value_key(rec["v"])
+        if key not in seen:
+            parse_value(rec["v"])
+            seen.add(key)
+
+
+def _parse_interned(objs: list) -> tuple[list[ExactComplex], np.ndarray]:
+    """Each distinct raw value parsed once, in order of first use, and each object's place."""
+    types = set(map(type, objs))
+    if types <= _VALUE_TYPES and not {int, float} <= types:
+        keys = objs  # within int and str, or float and str, equal means one value
+    else:
+        keys = list(map(_value_key, objs))
+    # a dict keeps a key where it was first inserted, so this is first-use
+    # order; each key keeps its last object, which parses as its first does
+    reps = dict(zip(keys, objs))
+    place = dict(zip(reps, range(len(reps))))
+    values = list(map(parse_value, reps.values()))
+    return values, np.fromiter(map(place.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
 class CubicalTensor:
     """Order-``n`` hypermatrix with ``r`` indices, stored sparsely.
 
@@ -274,28 +410,44 @@ class CubicalTensor:
     ExactComplex values.  Duplicate tuples given at construction are summed;
     exact zeros are pruned.  Instances are immutable.
 
-    The constructor stores the given tuples as they are.  ``from_orbits``
-    builds a symmetric tensor from one value per index multiset and stores
-    only those; its ``entries`` is a read-only view that expands the orbits
-    when first iterated.  Both forms compare and hash alike.  Derived data
-    (symmetry, support patterns, digraph, the float kernel of F) is computed
-    on first use and kept in ``_cache``, which equality and hashing ignore.
+    The constructor stores the given tuples as arrays: a lexicographically
+    sorted (m, r) int64 index array, the distinct values, and each row's
+    place among them.  ``entries`` is a read-only dict view of them, built
+    on first use.  ``from_orbits`` builds a symmetric tensor from one value
+    per index multiset and stores only those; its ``entries`` is a
+    read-only view that expands the orbits when first iterated.  Both forms
+    compare and hash alike.  Derived data (symmetry, support patterns,
+    digraph, the float kernel of F) is computed on first use and kept in
+    ``_cache``, which equality and hashing ignore.
     """
 
-    __slots__ = ("r", "n", "_entries", "_orbits", "_cache")
+    __slots__ = ("r", "n", "_tuples", "_orbits", "_cache")
 
     def __init__(self, r: int, n: int,
                  entries: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]] = ()):
         _check_shape(r, n)
         items = entries.items() if isinstance(entries, Mapping) else entries
-        self._set(r, n, _accumulate(items, r, n, by_orbit=False), None)
+        indices: list[Index] = []
+        values: list[ExactComplex] = []
+        for item in items:
+            try:
+                idx, value = item
+                indices.append(tuple(idx))
+                values.append(ExactComplex.coerce(value))
+            except (TypeError, ValueError):
+                _check_indices(indices, r, n)  # a bad tuple up to here is the first fault
+                raise
+        place: dict[int, int] = {}  # equal objects are stored once
+        where = [place.setdefault(id(v), len(place)) for v in values]
+        distinct = list({id(v): v for v in values}.values())
+        self._set(r, n, _tuple_storage(_index_array(r, n, indices), n, where, distinct), None)
 
     @staticmethod
-    def _stored(r: int, n: int, entries, orbits) -> "CubicalTensor":
+    def _stored(r: int, n: int, tuples, orbits) -> "CubicalTensor":
         """A tensor on storage that is already checked, summed, zero-free and sorted."""
         # a plain tensor even when called on a subclass: a Hypergraph holds 1s only
         out = CubicalTensor.__new__(CubicalTensor)
-        out._set(r, n, entries, orbits)
+        out._set(r, n, tuples, orbits)
         return out
 
     @classmethod
@@ -309,12 +461,12 @@ class CubicalTensor:
         """
         _check_shape(r, n)
         items = orbits.items() if isinstance(orbits, Mapping) else orbits
-        return cls._stored(r, n, None, _accumulate(items, r, n, by_orbit=True))
+        return cls._stored(r, n, None, _accumulate(items, r, n))
 
-    def _set(self, r: int, n: int, entries, orbits) -> None:
+    def _set(self, r: int, n: int, tuples, orbits) -> None:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_tuples", tuples)
         object.__setattr__(self, "_orbits", orbits)
         object.__setattr__(self, "_cache", {})
 
@@ -322,23 +474,17 @@ class CubicalTensor:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _store(self) -> dict[Index, ExactComplex]:
-        return self._entries if self._orbits is None else self._orbits
-
-    def _rebuild(self, n: int, items) -> "CubicalTensor":
-        """A tensor with this one's r and storage form."""
-        if self._orbits is None:
-            return CubicalTensor(self.r, n, items)
-        return CubicalTensor.from_orbits(self.r, n, items)
+        return self._entry_dict() if self._orbits is None else self._orbits
 
     @property
     def entries(self) -> Mapping[Index, ExactComplex]:
         if self._orbits is None:
-            return MappingProxyType(self._entries)
+            return MappingProxyType(self._entry_dict())
         return _OrbitEntries(self)
 
     def entry(self, idx: Sequence[int]) -> ExactComplex:
         if self._orbits is None:
-            return self._entries.get(tuple(idx), _ZERO)
+            return self._entry_dict().get(tuple(idx), _ZERO)
         return self._orbits.get(tuple(sorted(idx)), _ZERO)
 
     def __eq__(self, other) -> bool:
@@ -352,14 +498,19 @@ class CubicalTensor:
 
     def __hash__(self) -> int:
         orbits = self._symmetric_orbits()
-        body = self._entries if orbits is None else orbits
+        body = self._entry_dict() if orbits is None else orbits
         return hash((self.r, self.n, tuple(body.items())))
 
     def __neg__(self) -> "CubicalTensor":
-        return self._rebuild(self.n, [(idx, -v) for idx, v in self._store().items()])
+        if self._orbits is None:
+            keys, where, distinct = self._tuples
+            negated = _tuple_storage(keys, self.n, where, [-v for v in distinct])
+            return self._stored(self.r, self.n, negated, None)
+        return CubicalTensor.from_orbits(self.r, self.n,
+                                         [(key, -v) for key, v in self._orbits.items()])
 
     def __repr__(self) -> str:
-        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={len(self.entries)})"
+        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={self._nnz()})"
 
     # -- convenience constructors ----------------------------------------
     @classmethod
@@ -384,7 +535,14 @@ class CubicalTensor:
 
     def diagonal(self) -> list[ExactComplex]:
         """The r-fold diagonal [a_{11...1}, ..., a_{nn...n}]."""
-        return [self.entry((k,) * self.r) for k in range(1, self.n + 1)]
+        if self._orbits is not None:
+            return [self._orbits.get((k,) * self.r, _ZERO) for k in range(1, self.n + 1)]
+        keys, where, distinct = self._tuples
+        out = [_ZERO] * self.n
+        on_diagonal = np.flatnonzero((keys == keys[:, :1]).all(axis=1))
+        for k, w in zip(keys[on_diagonal, 0].tolist(), where[on_diagonal].tolist()):
+            out[k - 1] = distinct[w]
+        return out
 
     def principal_submatrix(self, vertices: Sequence[int]) -> "CubicalTensor":
         """Restrict to index tuples inside ``vertices``, reindexed to 1..len."""
@@ -398,38 +556,69 @@ class CubicalTensor:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
         if len(vs) == self.n:
             return self
+        if self._orbits is None:
+            keys, where, distinct = self._tuples
+            chosen = np.array(vs)
+            place = np.searchsorted(chosen, keys)
+            inside = (chosen[np.minimum(place, len(vs) - 1)] == keys).all(axis=1)
+            storage = _tuple_storage(place[inside] + 1, len(vs), where[inside], distinct)
+            return self._stored(self.r, len(vs), storage, None)
         pos = {v: i for i, v in enumerate(vs, start=1)}
         keep = set(vs)
-        return self._rebuild(len(vs), [(tuple(pos[j] for j in idx), v)
-                                       for idx, v in self._store().items()
-                                       if keep.issuperset(idx)])
+        return CubicalTensor.from_orbits(self.r, len(vs), [(tuple(pos[j] for j in key), v)
+                                                           for key, v in self._orbits.items()
+                                                           if keep.issuperset(key)])
 
     # -- cached derived data ---------------------------------------------
+    @_once
+    def _entry_dict(self) -> dict[Index, ExactComplex]:
+        """The tuple storage as an ``index tuple -> value`` dict, in sorted order."""
+        keys, where, distinct = self._tuples
+        return dict(zip(map(tuple, keys.tolist()), map(distinct.__getitem__, where.tolist())))
+
+    @_once
+    def _multisets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support multisets of tuple storage: ``(patterns, first, inverse)``.
+
+        ``patterns`` holds the distinct sorted index rows in lexicographic
+        order, ``first[i]`` is the first stored row of pattern i, and stored
+        row t belongs to pattern ``inverse[t]``.
+        """
+        rows = np.sort(self._tuples[0], axis=1)
+        code = _lex_codes(rows, self.n)
+        if code is None:
+            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        else:
+            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        return rows[first], first, inverse.reshape(-1)
+
     @_once
     def _symmetric_orbits(self) -> dict[Index, ExactComplex] | None:
         """The orbit map (sorted multiset -> value) if symmetric, else None."""
         if self._orbits is not None:
             return self._orbits
-        groups: dict[Index, list[ExactComplex]] = {}
-        for idx, v in self._entries.items():
-            groups.setdefault(tuple(sorted(idx)), []).append(v)
-        orbits = {}
-        for key in sorted(groups):
-            vals = groups[key]
-            first = vals[0]
-            if len(vals) != _multiset_permutation_count(key):
-                return None
-            if any(v != first for v in vals[1:]):
-                return None
-            orbits[key] = first
-        return orbits
+        keys, where, distinct = self._tuples
+        if not len(keys):  # the zero tensor, however large r: no r-wide array work
+            return {}
+        patterns, first, inverse = self._multisets()
+        # equal values may be distinct objects ("1" and 1): compare the place
+        # of the first equal one
+        canon: dict[ExactComplex, int] = {}
+        value_id = np.array([canon.setdefault(v, i) for i, v in enumerate(distinct)],
+                            dtype=np.intp)[where]
+        if (value_id != value_id[first][inverse]).any():
+            return None
+        if (np.bincount(inverse, minlength=len(first))
+                != _orderings(patterns, len(keys) + 1)).any():
+            return None
+        return dict(zip(self._patterns(), map(distinct.__getitem__, where[first].tolist())))
 
     @_once
     def _patterns(self) -> tuple[Index, ...]:
         """Distinct support multisets, sorted."""
         if self._orbits is not None:
             return tuple(self._orbits)
-        return tuple(sorted({tuple(sorted(idx)) for idx in self._entries}))
+        return tuple(map(tuple, self._multisets()[0].tolist()))
 
     @_once
     def _incidence(self) -> np.ndarray:
@@ -437,9 +626,12 @@ class CubicalTensor:
 
         The dtype is the narrowest signed integer that holds r.
         """
-        patterns, r = self._patterns(), self.r
-        flat = chain.from_iterable(patterns)
-        keys = np.fromiter(flat, dtype=np.intp, count=len(patterns) * r).reshape(-1, r) - 1
+        r = self.r
+        if self._orbits is None:
+            keys = self._multisets()[0] - 1
+        else:
+            flat = chain.from_iterable(self._orbits)
+            keys = np.fromiter(flat, dtype=np.intp, count=len(self._orbits) * r).reshape(-1, r) - 1
         out = np.zeros((len(keys), self.n), dtype=np.min_scalar_type(-r - 1))
         rows = np.arange(len(keys))
         for col in keys.T:  # one position at a time: no row repeats in an update
@@ -448,7 +640,9 @@ class CubicalTensor:
 
     @_once
     def _nnz(self) -> int:
-        return sum(_multiset_permutation_count(key) for key in self._store())
+        if self._orbits is None:
+            return len(self._tuples[0])
+        return sum(_multiset_permutation_count(key) for key in self._orbits)
 
     @_once
     def _expanded(self) -> dict[Index, ExactComplex]:
@@ -468,9 +662,10 @@ class CubicalTensor:
         the number of distinct orderings of the orbit with one k removed.
         """
         r = self.r
-        keys = np.array(list(self._store()), dtype=np.intp).reshape(-1, r) - 1
         if self._orbits is None:
+            keys = (self._tuples[0] - 1).astype(np.intp, copy=False)
             return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), None, None
+        keys = np.array(list(self._orbits), dtype=np.intp).reshape(-1, r) - 1
         same = keys[:, 1:] == keys[:, :-1]
         # 1-based place of each position in its run of equal indices: the
         # product over a row is the product of the multiplicities' factorials
@@ -496,7 +691,10 @@ class CubicalTensor:
         Entries read from equal JSON values share one object, so whatever is
         tested or converted per object is done once per distinct value.
         """
-        values = self._store().values()
+        if self._orbits is None:
+            _keys, where, distinct = self._tuples
+            return distinct, where
+        values = self._orbits.values()
         distinct = {id(v): v for v in values}
         place = {key: i for i, key in enumerate(distinct)}
         where = np.fromiter(map(place.__getitem__, map(id, values)), dtype=np.intp,
@@ -536,7 +734,7 @@ class CubicalTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CubicalTensor":
-        """Tensor of a JSON document, read in one pass over its entry records.
+        """Tensor of a JSON document, stored as arrays by the constructor's builder.
 
         Each distinct raw value is parsed once per document, and the entries
         that carry it share one ExactComplex.  Of several faults in one
@@ -549,42 +747,21 @@ class CubicalTensor:
             raise ValueError(f"tensor JSON must have keys r, n, entries: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError("tensor JSON 'entries' must be a list")
-        try:
-            _check_shape(r, n)
-            fault = None
-        except ValueError as exc:
-            fault = str(exc)
-        parsed: dict = {}  # _value_key of a raw value -> its value
-        acc: dict[Index, ExactComplex] = {}
-        for rec in raw:
-            if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
-                    or "v" not in rec):
-                raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
-            obj = rec["v"]
-            key = _value_key(obj)
-            value = parsed.get(key)  # never stored under None
-            if value is None:
-                # every zero is _ZERO, so pruning below is an identity test
-                value = parse_value(obj) or _ZERO
-                if key is not None:
-                    parsed[key] = value
-            if fault is not None:  # only records and values are left to check
-                continue
-            idx = tuple(rec["i"])
-            if len(idx) != r:
-                fault = f"index tuple {idx} does not have length r={r}"
-                continue
-            for j in idx:
-                if type(j) is not int or not 1 <= j <= n:
-                    fault = f"index {j!r} out of range 1..{n} in {idx}"
-                    break
+        well_formed = all(map(isinstance, raw, repeat(dict)))
+        if well_formed:
+            try:
+                indices = list(map(_RECORD_INDEX, raw))
+                objs = list(map(_RECORD_VALUE, raw))
+            except KeyError:
+                well_formed = False
             else:
-                old = acc.get(idx)
-                acc[idx] = value if old is None else (old + value) or _ZERO
-        if fault is not None:
-            raise ValueError(fault)
-        return cls._stored(r, n, {idx: acc[idx] for idx in sorted(acc)
-                                  if acc[idx] is not _ZERO}, None)
+                well_formed = all(map(isinstance, indices, repeat(list)))
+        if not well_formed:
+            _record_fault(raw)
+        values, where = _parse_interned(objs)
+        _check_shape(r, n)
+        return cls._stored(r, n, _tuple_storage(_index_array(r, n, indices), n, where, values),
+                           None)
 
 
 class _OrbitEntries(Mapping):

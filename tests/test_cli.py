@@ -447,6 +447,32 @@ class TestUsageErrors:
         p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}]}')
         assert run(tmp_path, "charpoly", "--input", str(p)) == (3, None)
 
+    def test_certificate_integer_past_digit_limit_exit_2(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int/str digit limit is off")
+        path = write_fixture(tmp_path, "edge-r", r=6)
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"kind": "odd-transversal", "X": [1%s]}' % ("0" * limit))
+        code, data = run(tmp_path, "convert-certificate", "--input", path, "--cert", str(cert))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {cert}")
+
+    @pytest.mark.parametrize("verb,doc", [
+        ("charpoly", '{"r": 2, "n": N, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}]}'),
+        ("rho", '{"r": 2, "n": N, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}]}'),
+        ("odd-transversal", '{"r": 2, "n": N, "edges": [[1, 2]]}'),
+        ("rho", '{"r": N, "n": 2, "entries": []}'),
+    ], ids=["charpoly", "rho", "graph", "index-count"])
+    def test_size_past_int64_exit_2(self, tmp_path, capsys, verb, doc):
+        # index arrays are int64; the input is refused before anything is allocated
+        p = tmp_path / "huge.json"
+        p.write_text(doc.replace("N", str(2**63)))
+        code, data = run(tmp_path, verb, "--input", str(p))
+        assert code == 2 and data is None
+        assert "must be at most 2**63 - 1" in capsys.readouterr().err
+
     def test_boolean_vertex_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bool.json"
         p.write_text('{"r": 2, "n": 3, "edges": [[true, 3], [2, 3]]}')

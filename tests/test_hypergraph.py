@@ -57,7 +57,7 @@ class TestHypergraph:
 
     def test_graph_is_its_adjacency_tensor(self):
         g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
-        assert isinstance(g, hs.CubicalTensor) and g._entries is None
+        assert isinstance(g, hs.CubicalTensor) and g._tuples is None  # orbits only
         assert set(g._orbits.values()) == {hs.ExactComplex(1)}
         assert repr(g) == "Hypergraph(r=3, n=4, edges=2)"
         assert g == adjacency_tensor(g) and hash(g) == hash(adjacency_tensor(g))

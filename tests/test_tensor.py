@@ -5,10 +5,12 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -498,6 +500,15 @@ class TestJsonIngest:
         assert len({id(v) for v in a.entries.values()}) == 4
         # the values live as long as one call: a second read shares none
         assert CubicalTensor.from_json_dict(doc).entry((1, 2)) is not a.entry((1, 2))
+        # scalars only, with no [re, im] pair: 1, 1.0 and "1" still stay apart
+        scalars = CubicalTensor.from_json_dict({"r": 2, "n": 3, "entries": [
+            {"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1.0}, {"i": [1, 3], "v": "1"},
+            {"i": [3, 1], "v": 1}, {"i": [2, 3], "v": 1.0}, {"i": [3, 2], "v": "1"}]})
+        assert scalars.entry((1, 2)) is scalars.entry((3, 1))
+        assert scalars.entry((2, 1)) is scalars.entry((2, 3))
+        assert scalars.entry((1, 3)) is scalars.entry((3, 2))
+        assert len({id(v) for v in scalars.entries.values()}) == 3
+        assert scalars == CubicalTensor.from_json_dict(doc) and hs.is_symmetric(scalars)
 
     def test_decimal_exponent_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -509,3 +520,136 @@ class TestJsonIngest:
         for text in (f"1e{limit + 1}", f"-1E-{limit + 1}", "1e999999999", "1.5e-999_999_999"):
             with pytest.raises(ValueError, match="decimal exponent"):
                 parse_value(text)
+
+
+# Each list holds one value in several raw JSON forms; each pair sums to zero.
+EQUAL_RAWS = [[1, "1", 1.0, [1, 0], "2/2"], [0.5, "1/2", [0.5, 0]], [-2, "-2", -2.0],
+              ["-1/3", ["-1/3", 0]], [[0, 1], ["0", 1.0]], [[1, "1/2"], [1.0, 0.5]],
+              [0, "0", 0.0, [0, 0]]]
+CANCELLING = [(1, -1), ("1/2", -0.5), ([0, 1], [0, -1]), ("-1/3", "1/3"), ([2, "1/3"], [-2.0, "-1/3"])]
+
+
+def _exact(raw) -> tuple[Fraction, Fraction]:
+    re_part, im_part = raw if isinstance(raw, list) else (raw, 0)
+    return Fraction(re_part), Fraction(im_part)
+
+
+def _ordering_count(key: tuple) -> int:
+    return math.factorial(len(key)) // math.prod(map(math.factorial, Counter(key).values()))
+
+
+def _orderings(key: tuple) -> list[tuple]:
+    """The distinct orderings of an index multiset, without walking all r! permutations."""
+    if not key:
+        return [()]
+    out = []
+    for j in sorted(set(key)):
+        t = key.index(j)
+        out += [(j,) + rest for rest in _orderings(key[:t] + key[t + 1:])]
+    return out
+
+
+@st.composite
+def storage_documents(draw, rs=st.integers(2, 5), ns=st.integers(1, 12)):
+    """(r, n, records): index tuples and raw values, symmetric on purpose half the time."""
+    r = draw(rs)
+    n = draw(ns)
+    index = st.tuples(*[st.integers(1, n)] * r)
+    raws = st.sampled_from(EQUAL_RAWS)
+    records = []
+    if draw(st.booleans()):
+        # every ordering of each multiset, with equal values in several forms
+        for key in draw(st.lists(index.map(lambda t: tuple(sorted(t))), min_size=1, max_size=8,
+                                 unique=True)):
+            if len(records) + _ordering_count(key) > 280:
+                break
+            forms = draw(raws)
+            records += [(idx, draw(st.sampled_from(forms))) for idx in _orderings(key)]
+        if records and draw(st.booleans()):  # one value redrawn on a symmetric support
+            t = draw(st.integers(0, len(records) - 1))
+            records[t] = (records[t][0], draw(raws.flatmap(st.sampled_from)))
+    else:
+        size = draw(st.sampled_from([0, 3, 30, 120, 280]))
+        records = draw(st.lists(st.tuples(index, raws.flatmap(st.sampled_from)),
+                                min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 3))):  # pairs that cancel, on a stored tuple or not
+        idx = draw(st.sampled_from([rec[0] for rec in records])) if records else draw(index)
+        records += [(idx, raw) for raw in draw(st.sampled_from(CANCELLING))]
+    return r, n, draw(st.permutations(records))
+
+
+def _assert_matches_dict_oracle(r, n, records):
+    """The document and the constructor on the same records, against a plain dict."""
+    acc: dict = {}
+    for idx, raw in records:
+        re_part, im_part = acc.get(idx, (0, 0))
+        d_re, d_im = _exact(raw)
+        acc[idx] = (re_part + d_re, im_part + d_im)
+    expected = {idx: acc[idx] for idx in sorted(acc) if acc[idx] != (0, 0)}
+    keys = list(expected)
+    patterns = sorted({tuple(sorted(idx)) for idx in keys})
+    incidence = np.zeros((len(patterns), n), dtype=int)
+    for i, pattern in enumerate(patterns):
+        for j in pattern:
+            incidence[i, j - 1] += 1
+    real = all(im == 0 for _, im in expected.values())
+    weights = [float(re) if real else complex(float(re), float(im))
+               for re, im in expected.values()]
+    groups: dict = {}
+    for idx, value in expected.items():
+        groups.setdefault(tuple(sorted(idx)), []).append(value)
+    symmetric = all(len(values) == _ordering_count(key) and len(set(values)) == 1
+                    for key, values in groups.items())
+
+    doc = {"r": r, "n": n, "entries": [{"i": list(idx), "v": raw} for idx, raw in records]}
+    built = CubicalTensor(r, n, [(idx, ExactComplex(*_exact(raw))) for idx, raw in records])
+    for a in (CubicalTensor.from_json_dict(doc), built):
+        assert [(idx, (v.re, v.im)) for idx, v in a.entries.items()] == list(expected.items())
+        assert a._patterns() == tuple(patterns)
+        assert np.array_equal(a._incidence(), incidence)
+        heads, tails, source, count = a._rows()
+        assert heads.tolist() == [idx[0] - 1 for idx in keys]
+        assert tails.tolist() == [[idx[c] - 1 for idx in keys] for c in range(1, r)]
+        assert source is None and count is None
+        k_heads, k_tails, k_weights = a._kernel()
+        assert k_heads.tolist() == heads.tolist() and k_tails.tolist() == tails.tolist()
+        assert k_weights.tolist() == weights
+        # the distinct values are exactly the stored ones: none left over from a sum or zero
+        assert a.is_real() == real
+        assert a.is_nonnegative() == all(im == 0 and re >= 0 for re, im in expected.values())
+        assert [(v.re, v.im) for v in a.diagonal()] == [
+            expected.get((k,) * r, (0, 0)) for k in range(1, n + 1)]
+        assert [(idx, (v.re, v.im)) for idx, v in (-a).entries.items()] == [
+            (idx, (-re, -im)) for idx, (re, im) in expected.items()]
+        if n > 1:  # every other vertex, renumbered 1, 2, ...
+            pos = {v: i for i, v in enumerate(range(1, n + 1, 2), start=1)}
+            sub = a.principal_submatrix(list(pos))
+            assert [(idx, (v.re, v.im)) for idx, v in sub.entries.items()] == [
+                (tuple(pos[j] for j in idx), value) for idx, value in expected.items()
+                if set(idx) <= set(pos)]
+        orbits = a._symmetric_orbits()
+        assert is_symmetric(a) == symmetric
+        if symmetric:
+            assert [(key, (v.re, v.im)) for key, v in orbits.items()] == [
+                (key, groups[key][0]) for key in sorted(groups)]
+        else:
+            assert orbits is None
+
+
+class TestArrayStorage:
+    """The array storage of tuple tensors against a plain dict built in the test."""
+
+    @example((2, 3, []))
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(storage_documents())
+    def test_matches_dict_oracle(self, case):
+        _assert_matches_dict_oracle(*case)
+
+    # 9**16 > 2**63: rows of 16 indices in 1..9 or more sort and group
+    # without an int64 code per row
+    @example((16, 9, [((1,) * 15 + (2,), 1), ((2,) + (1,) * 15, "1"), ((9,) * 16, 2)]))
+    @example((16, 9, [(p, "1/2") for p in _orderings((1,) * 15 + (3,))]))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(storage_documents(rs=st.just(16), ns=st.integers(9, 12)))
+    def test_wide_rows_match_dict_oracle(self, case):
+        _assert_matches_dict_oracle(*case)
