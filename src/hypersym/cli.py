@@ -1,7 +1,7 @@
 """Command-line front end: solvers, certificates, and fixtures as JSON.
 
 Exit codes: 0 = computed (including infeasible answers), 2 = usage or parse
-error, 3 = precondition violation, 4 = iteration did not converge.
+error, 3 = precondition violation or out of memory, 4 = no convergence.
 """
 from __future__ import annotations
 
@@ -33,6 +33,8 @@ def _read_json(path: str):
                 text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -288,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return CONVERGENCE_ERROR
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return PRECONDITION_ERROR
+    except MemoryError:
+        print(f"error: the input is too large for {args.verb}: out of memory", file=sys.stderr)
         return PRECONDITION_ERROR
     return 0
 

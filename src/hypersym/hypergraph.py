@@ -3,16 +3,20 @@
 An r-graph has edges that are r-element vertex subsets.  Its adjacency
 tensor places 1 at every permutation of every edge, so graph-level parity
 questions coincide with the tensor-level ones.  A Hypergraph is that
-tensor, stored by orbit with one value per edge.
+tensor, stored by orbit: its edges are the sorted rows of one int64 array,
+each with the value 1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .parity import OddColoring
-from .tensor import CubicalTensor, ExactComplex, _check_shape, is_weakly_irreducible
+from .tensor import (CubicalTensor, ExactComplex, _check_shape, _index_array, _unique_rows,
+                     is_weakly_irreducible)
 
 __all__ = [
     "Hypergraph", "adjacency_tensor", "is_connected",
@@ -33,30 +37,28 @@ class Hypergraph(CubicalTensor):
 
     def __init__(self, r: int, n: int, edges: Iterable[Sequence[int]] = ()):
         _check_shape(r, n)
-        canon = set()
-        for edge in edges:
-            for v in edge:  # before sorting, which needs comparable vertices
-                # type(v) is int, not isinstance: a bool is not a vertex
-                if type(v) is not int or not 1 <= v <= n:
-                    raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {tuple(edge)}")
-            e = tuple(sorted(edge))
-            if len(e) != r or len(set(e)) != r:
-                raise ValueError(f"edge {tuple(edge)} must have {r} distinct vertices")
-            canon.add(e)
-        self._set(r, n, None, dict.fromkeys(sorted(canon), ExactComplex(1)))
+        edges = list(edges)
+        rows = _index_array(r, n, edges, _edge_fault)
+        if not (rows[:, 1:] > rows[:, :-1]).all():  # hypersym writes each edge sorted
+            rows = np.sort(rows, axis=1)
+            if (rows[:, 1:] == rows[:, :-1]).any():  # a repeated vertex
+                _edge_fault(edges, r, n)
+        rows = _unique_rows(rows, n, return_inverse=False)[0]
+        ones = [ExactComplex(1)] if len(rows) else []
+        self._set(r, n, (rows, np.zeros(len(rows), dtype=np.intp), ones), True)
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return self._patterns()
 
     def __repr__(self) -> str:
-        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self.edges)})"
+        return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self._arrays[0])})"
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
     def to_json_dict(self) -> dict:
-        return {"r": self.r, "n": self.n, "edges": [list(e) for e in self.edges]}
+        return {"r": self.r, "n": self.n, "edges": self._arrays[0].tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Hypergraph":
@@ -64,15 +66,26 @@ class Hypergraph(CubicalTensor):
             r, n, edges = data["r"], data["n"], data["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"hypergraph JSON must have keys r, n, edges: {exc}") from exc
-        if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
+        if not isinstance(edges, list) or not all(map(isinstance, edges, repeat(list))):
             raise ValueError("hypergraph JSON 'edges' must be a list of vertex lists")
         return cls(r, n, edges)
 
 
+def _edge_fault(edges: list, r: int, n: int) -> None:
+    """Raise on the first edge with a vertex not in 1..n, or without r distinct vertices."""
+    for edge in edges:
+        for v in edge:  # before the set, which needs hashable vertices
+            # type(v) is int, not isinstance: a bool is not a vertex
+            if type(v) is not int or not 1 <= v <= n:
+                raise ValueError(f"vertex {v!r} out of range 1..{n} in edge {tuple(edge)}")
+        if len(tuple(edge)) != r or len(set(edge)) != r:
+            raise ValueError(f"edge {tuple(edge)} must have {r} distinct vertices")
+
+
 def adjacency_tensor(g: Hypergraph) -> CubicalTensor:
     """Symmetric 0/1 tensor with value 1 at every permutation of every edge."""
-    # a plain CubicalTensor on the graph's orbits, so its JSON has "entries"
-    return CubicalTensor._stored(g.r, g.n, None, g._orbits)
+    # a plain CubicalTensor on the graph's arrays, so its JSON has "entries"
+    return CubicalTensor._stored(g.r, g.n, g._arrays, True)
 
 
 def is_connected(g: Hypergraph) -> bool:

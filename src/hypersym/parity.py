@@ -298,11 +298,12 @@ def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
         masks = [m | w << 64 * k for m, w in zip(masks, words[:, k].tolist())]
     status, result = _solve_gf2(masks, [1] * len(masks), n)
     if status == "unsat":
-        patterns = support_patterns(obj)
-        idxs = tuple(i for i in range(len(patterns)) if (result >> i) & 1)
+        # the rows the history names, read from its bits and the pattern array only
+        history = np.frombuffer(result.to_bytes(-(-len(masks) // 8), "little"), dtype=np.uint8)
+        idxs = np.flatnonzero(np.unpackbits(history, bitorder="little"))
         return TransversalInfeasible(
-            n=n, pattern_indices=idxs,
-            patterns=tuple(patterns[i] for i in idxs))
+            n=n, pattern_indices=tuple(idxs.tolist()),
+            patterns=tuple(map(tuple, tensor._pattern_rows()[idxs].tolist())))
     vertices = tuple(j + 1 for j in range(n) if (result >> j) & 1)
     x = OddTransversal(n=n, vertices=vertices)
     if not verify_certificate(obj, x):

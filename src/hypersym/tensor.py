@@ -3,18 +3,18 @@
 A cubical hypermatrix of order ``n`` with ``r`` indices is a map
 ``(j_1, ..., j_r) -> a_{j_1 ... j_r}`` on ``[n]^r``.  Entries are kept as
 exact complex rationals, so symmetry checks, diagonal similarities and
-polynomial work are exact.  A general tensor is stored sparsely as arrays:
-its index tuples as the rows of one lexicographically sorted int64 array,
-its distinct values, and each row's place among them.  Support patterns,
-symmetry and the float kernel are computed from those arrays, and the
-``index tuple -> value`` dict is built only when a caller asks for
-``entries``.  A symmetric tensor may instead be stored by orbit, one value
-per sorted index multiset, which is how hypergraph adjacency tensors are
-built.  A tensor document's values are interned: each distinct raw value is
-parsed once, and the entries that carry it share one immutable
-ExactComplex, so predicates and float conversions run once per distinct
-value.  Values degrade to floating point only inside iterative numerics,
-which all read one float kernel cached on the tensor.
+polynomial work are exact.  Every tensor is stored sparsely as arrays: its
+index rows as one lexicographically sorted int64 array, its distinct
+values, and each row's place among them.  The rows are index tuples, or
+the sorted index multisets of a symmetric tensor stored by orbit, as a
+hypergraph's adjacency tensor is.  Support patterns, symmetry and the float
+kernel are computed from those arrays; dicts of tuples or multisets are
+built only when ``entries``, ``entry`` or equality asks for them.  A tensor
+document's values are interned: each distinct raw value is parsed once,
+and the entries that carry it share one immutable ExactComplex, so
+predicates and float conversions run once per distinct value.  Values
+degrade to floating point only inside iterative numerics, which all read
+one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, permutations, repeat
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
@@ -254,22 +254,6 @@ def _check_indices(indices: Iterable[Sequence[int]], r: int, n: int) -> None:
                 raise ValueError(f"index {j!r} out of range 1..{n} in {key}")
 
 
-def _accumulate(items: Iterable[tuple[Sequence[int], Scalar]], r: int,
-                n: int) -> dict[Index, ExactComplex]:
-    """Validated, summed, zero-free and sorted ``multiset -> value`` orbit storage."""
-    acc: dict[Index, ExactComplex] = {}
-    for idx, value in items:
-        key = tuple(idx)
-        _check_indices((key,), r, n)
-        key = tuple(sorted(key))
-        v = ExactComplex.coerce(value)
-        if key in acc:
-            acc[key] = acc[key] + v
-        else:
-            acc[key] = v
-    return {k: acc[k] for k in sorted(acc) if acc[k]}
-
-
 def _lex_codes(rows: np.ndarray, n: int) -> np.ndarray | None:
     """One int64 per row of indices in 1..n, in the rows' lexicographic order.
 
@@ -284,30 +268,65 @@ def _lex_codes(rows: np.ndarray, n: int) -> np.ndarray | None:
     return rows @ ((n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64))
 
 
-def _index_array(r: int, n: int, indices: list) -> np.ndarray:
-    """The (m, r) int64 array of m index sequences; of several bad ones, the first is reported."""
-    flat = list(chain.from_iterable(indices))
+def _index_array(r: int, n: int, indices: list, fault=_check_indices) -> np.ndarray:
+    """The (m, r) int64 array of m index sequences in 1..n, or ``fault`` names the first bad one."""
     keys = None
-    # type(j) is int, not isinstance: a bool is not an index
-    if set(map(len, indices)) <= {r} and set(map(type, flat)) <= {int}:
-        try:
+    try:
+        flat = list(chain.from_iterable(indices))
+        # type(j) is int, not isinstance: a bool is not an index
+        if set(map(len, indices)) <= {r} and set(map(type, flat)) <= {int}:
             keys = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(len(indices), r)
-        except OverflowError:  # an index past int64, so past n
-            pass
+    except (TypeError, OverflowError):  # a sequence without a length; an index past int64
+        pass
     if keys is None or (len(keys) and (keys.min() < 1 or keys.max() > n)):
-        _check_indices(indices, r, n)
+        fault(indices, r, n)
     return keys
 
 
-def _tuple_storage(keys: np.ndarray, n: int, where,
-                   values: list[ExactComplex]) -> tuple[np.ndarray, np.ndarray, list[ExactComplex]]:
-    """Sorted, summed and zero-free tuple storage ``(keys, where, distinct)``.
+def _collect(items: Iterable[tuple[Sequence[int], Scalar]], r: int,
+             n: int) -> tuple[np.ndarray, list[int], list[ExactComplex]]:
+    """Index array, value places and distinct values of (index, value) items; first fault first."""
+    indices: list[Index] = []
+    values: list[ExactComplex] = []
+    for item in items:
+        try:
+            idx, value = item
+            indices.append(tuple(idx))
+            values.append(ExactComplex.coerce(value))
+        except (TypeError, ValueError):
+            _check_indices(indices, r, n)  # a bad tuple up to here is the first fault
+            raise
+    place: dict[int, int] = {}  # equal objects are stored once
+    where = [place.setdefault(id(v), len(place)) for v in values]
+    distinct = list({id(v): v for v in values}.values())
+    return _index_array(r, n, indices), where, distinct
 
-    Row t of the int64 array ``keys`` is an index tuple in 1..n with the
-    value ``values[where[t]]``.  The storage holds the distinct tuples as
-    rows in lexicographic order, the values they carry, each object once,
-    and each row's place among those values.  Rows with equal tuples are
-    summed in their given order.
+
+def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = True
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distinct rows of indices in 1..n, sorted: ``(unique, first, inverse)``.
+
+    Unique row i is ``rows[first[i]]``, and row t is unique row ``inverse[t]`` (if asked for).
+    """
+    code = _lex_codes(rows, n)  # without one, numpy compares whole rows
+    if code is not None and (code[1:] > code[:-1]).all():  # sorted and distinct already
+        first = np.arange(len(rows))
+        return rows, first, first if return_inverse else None
+    _, first, *inverse = np.unique(rows if code is None else code, axis=0 if code is None else None,
+                                   return_index=True, return_inverse=return_inverse)
+    return rows[first], first, inverse[0].reshape(-1) if inverse else None
+
+
+def _array_storage(keys: np.ndarray, n: int, where,
+                   values: list[ExactComplex]) -> tuple[np.ndarray, np.ndarray, list[ExactComplex]]:
+    """Sorted, summed and zero-free array storage ``(keys, where, distinct)``.
+
+    Row t of the int64 array ``keys`` is an index row in 1..n (a tuple, or
+    a sorted multiset for orbit storage) with the value
+    ``values[where[t]]``.  The storage holds the distinct rows in
+    lexicographic order, the values they carry, each object once, and each
+    row's place among those values.  Equal rows are summed in their given
+    order.
     """
     m = len(keys)
     where = np.array(where, dtype=np.intp)
@@ -342,7 +361,6 @@ def _tuple_storage(keys: np.ndarray, n: int, where,
     if not used.all():
         where = (np.cumsum(used, dtype=np.intp) - 1)[where]
         values = list(compress(values, used.tolist()))
-    keys.flags.writeable = where.flags.writeable = False
     return keys, where, values
 
 
@@ -410,44 +428,31 @@ class CubicalTensor:
     ExactComplex values.  Duplicate tuples given at construction are summed;
     exact zeros are pruned.  Instances are immutable.
 
-    The constructor stores the given tuples as arrays: a lexicographically
-    sorted (m, r) int64 index array, the distinct values, and each row's
-    place among them.  ``entries`` is a read-only dict view of them, built
-    on first use.  ``from_orbits`` builds a symmetric tensor from one value
-    per index multiset and stores only those; its ``entries`` is a
-    read-only view that expands the orbits when first iterated.  Both forms
-    compare and hash alike.  Derived data (symmetry, support patterns,
+    ``_arrays`` is a lexicographically sorted (m, r) int64 index array, the
+    distinct values, and each row's place among them; its rows are the
+    given tuples.  ``from_orbits`` builds a symmetric tensor from one value
+    per index multiset and stores the sorted multisets, with ``_by_orbit``
+    set; its read-only ``entries`` expands them when first iterated.  Both
+    forms compare and hash alike.  Derived data (symmetry, support patterns,
     digraph, the float kernel of F) is computed on first use and kept in
     ``_cache``, which equality and hashing ignore.
     """
 
-    __slots__ = ("r", "n", "_tuples", "_orbits", "_cache")
+    __slots__ = ("r", "n", "_arrays", "_by_orbit", "_cache")
 
     def __init__(self, r: int, n: int,
                  entries: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]] = ()):
         _check_shape(r, n)
         items = entries.items() if isinstance(entries, Mapping) else entries
-        indices: list[Index] = []
-        values: list[ExactComplex] = []
-        for item in items:
-            try:
-                idx, value = item
-                indices.append(tuple(idx))
-                values.append(ExactComplex.coerce(value))
-            except (TypeError, ValueError):
-                _check_indices(indices, r, n)  # a bad tuple up to here is the first fault
-                raise
-        place: dict[int, int] = {}  # equal objects are stored once
-        where = [place.setdefault(id(v), len(place)) for v in values]
-        distinct = list({id(v): v for v in values}.values())
-        self._set(r, n, _tuple_storage(_index_array(r, n, indices), n, where, distinct), None)
+        keys, where, distinct = _collect(items, r, n)
+        self._set(r, n, _array_storage(keys, n, where, distinct), False)
 
     @staticmethod
-    def _stored(r: int, n: int, tuples, orbits) -> "CubicalTensor":
-        """A tensor on storage that is already checked, summed, zero-free and sorted."""
+    def _stored(r: int, n: int, arrays, by_orbit: bool) -> "CubicalTensor":
+        """A tensor on array storage that is already checked, summed, zero-free and sorted."""
         # a plain tensor even when called on a subclass: a Hypergraph holds 1s only
         out = CubicalTensor.__new__(CubicalTensor)
-        out._set(r, n, tuples, orbits)
+        out._set(r, n, arrays, by_orbit)
         return out
 
     @classmethod
@@ -461,40 +466,40 @@ class CubicalTensor:
         """
         _check_shape(r, n)
         items = orbits.items() if isinstance(orbits, Mapping) else orbits
-        return cls._stored(r, n, None, _accumulate(items, r, n))
+        keys, where, distinct = _collect(items, r, n)
+        return cls._stored(r, n, _array_storage(np.sort(keys, axis=1), n, where, distinct), True)
 
-    def _set(self, r: int, n: int, tuples, orbits) -> None:
+    def _set(self, r: int, n: int, arrays, by_orbit: bool) -> None:
+        arrays[0].flags.writeable = arrays[1].flags.writeable = False
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_tuples", tuples)
-        object.__setattr__(self, "_orbits", orbits)
+        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_by_orbit", by_orbit)
         object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _store(self) -> dict[Index, ExactComplex]:
-        return self._entry_dict() if self._orbits is None else self._orbits
-
     @property
     def entries(self) -> Mapping[Index, ExactComplex]:
-        if self._orbits is None:
-            return MappingProxyType(self._entry_dict())
-        return _OrbitEntries(self)
+        if self._by_orbit:
+            return _OrbitEntries(self)
+        return MappingProxyType(self._entry_dict())
 
     def entry(self, idx: Sequence[int]) -> ExactComplex:
-        if self._orbits is None:
-            return self._entry_dict().get(tuple(idx), _ZERO)
-        return self._orbits.get(tuple(sorted(idx)), _ZERO)
+        if self._by_orbit:
+            return self._symmetric_orbits().get(tuple(sorted(idx)), _ZERO)
+        return self._entry_dict().get(tuple(idx), _ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicalTensor):
             return NotImplemented
         if (self.r, self.n) != (other.r, other.n):
             return False
-        if (self._orbits is None) == (other._orbits is None):
-            return self._store() == other._store()
-        return self._symmetric_orbits() == other._symmetric_orbits()
+        mine, theirs = self._symmetric_orbits(), other._symmetric_orbits()
+        if mine is None or theirs is None:  # a symmetric tensor equals symmetric ones only
+            return mine is theirs and self._entry_dict() == other._entry_dict()
+        return mine == theirs
 
     def __hash__(self) -> int:
         orbits = self._symmetric_orbits()
@@ -502,12 +507,9 @@ class CubicalTensor:
         return hash((self.r, self.n, tuple(body.items())))
 
     def __neg__(self) -> "CubicalTensor":
-        if self._orbits is None:
-            keys, where, distinct = self._tuples
-            negated = _tuple_storage(keys, self.n, where, [-v for v in distinct])
-            return self._stored(self.r, self.n, negated, None)
-        return CubicalTensor.from_orbits(self.r, self.n,
-                                         [(key, -v) for key, v in self._orbits.items()])
+        keys, where, distinct = self._arrays
+        negated = _array_storage(keys, self.n, where, [-v for v in distinct])
+        return self._stored(self.r, self.n, negated, self._by_orbit)
 
     def __repr__(self) -> str:
         return f"CubicalTensor(r={self.r}, n={self.n}, nnz={self._nnz()})"
@@ -527,17 +529,15 @@ class CubicalTensor:
 
     @_once
     def is_real(self) -> bool:
-        return all(v.is_real for v in self._distinct_values()[0])
+        return all(v.is_real for v in self._arrays[2])
 
     @_once
     def is_nonnegative(self) -> bool:
-        return all(v.is_real and v.re >= 0 for v in self._distinct_values()[0])
+        return all(v.is_real and v.re >= 0 for v in self._arrays[2])
 
     def diagonal(self) -> list[ExactComplex]:
         """The r-fold diagonal [a_{11...1}, ..., a_{nn...n}]."""
-        if self._orbits is not None:
-            return [self._orbits.get((k,) * self.r, _ZERO) for k in range(1, self.n + 1)]
-        keys, where, distinct = self._tuples
+        keys, where, distinct = self._arrays
         out = [_ZERO] * self.n
         on_diagonal = np.flatnonzero((keys == keys[:, :1]).all(axis=1))
         for k, w in zip(keys[on_diagonal, 0].tolist(), where[on_diagonal].tolist()):
@@ -556,50 +556,36 @@ class CubicalTensor:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
         if len(vs) == self.n:
             return self
-        if self._orbits is None:
-            keys, where, distinct = self._tuples
-            chosen = np.array(vs)
-            place = np.searchsorted(chosen, keys)
-            inside = (chosen[np.minimum(place, len(vs) - 1)] == keys).all(axis=1)
-            storage = _tuple_storage(place[inside] + 1, len(vs), where[inside], distinct)
-            return self._stored(self.r, len(vs), storage, None)
-        pos = {v: i for i, v in enumerate(vs, start=1)}
-        keep = set(vs)
-        return CubicalTensor.from_orbits(self.r, len(vs), [(tuple(pos[j] for j in key), v)
-                                                           for key, v in self._orbits.items()
-                                                           if keep.issuperset(key)])
+        keys, where, distinct = self._arrays
+        chosen = np.array(vs)
+        # renumbering keeps the order of indices, so sorted multisets stay sorted
+        place = np.searchsorted(chosen, keys)
+        inside = (chosen[np.minimum(place, len(vs) - 1)] == keys).all(axis=1)
+        storage = _array_storage(place[inside] + 1, len(vs), where[inside], distinct)
+        return self._stored(self.r, len(vs), storage, self._by_orbit)
 
     # -- cached derived data ---------------------------------------------
     @_once
     def _entry_dict(self) -> dict[Index, ExactComplex]:
         """The tuple storage as an ``index tuple -> value`` dict, in sorted order."""
-        keys, where, distinct = self._tuples
+        keys, where, distinct = self._arrays
         return dict(zip(map(tuple, keys.tolist()), map(distinct.__getitem__, where.tolist())))
 
     @_once
     def _multisets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Support multisets of tuple storage: ``(patterns, first, inverse)``.
+        """Support multisets of tuple storage: ``_unique_rows`` of the sorted rows."""
+        return _unique_rows(np.sort(self._arrays[0], axis=1), self.n)
 
-        ``patterns`` holds the distinct sorted index rows in lexicographic
-        order, ``first[i]`` is the first stored row of pattern i, and stored
-        row t belongs to pattern ``inverse[t]``.
-        """
-        rows = np.sort(self._tuples[0], axis=1)
-        code = _lex_codes(rows, self.n)
-        if code is None:
-            _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        else:
-            _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        return rows[first], first, inverse.reshape(-1)
+    def _pattern_rows(self) -> np.ndarray:
+        """Distinct support multisets as sorted index rows, in lexicographic order."""
+        return self._arrays[0] if self._by_orbit else self._multisets()[0]
 
     @_once
-    def _symmetric_orbits(self) -> dict[Index, ExactComplex] | None:
-        """The orbit map (sorted multiset -> value) if symmetric, else None."""
-        if self._orbits is not None:
-            return self._orbits
-        keys, where, distinct = self._tuples
-        if not len(keys):  # the zero tensor, however large r: no r-wide array work
-            return {}
+    def _orbit_storage(self) -> tuple[np.ndarray, np.ndarray, list[ExactComplex]] | None:
+        """Orbit storage ``(multisets, where, distinct)`` if the tensor is symmetric, else None."""
+        keys, where, distinct = self._arrays
+        if self._by_orbit or not len(keys):  # the zero tensor, however large r: no r-wide work
+            return self._arrays
         patterns, first, inverse = self._multisets()
         # equal values may be distinct objects ("1" and 1): compare the place
         # of the first equal one
@@ -611,14 +597,36 @@ class CubicalTensor:
         if (np.bincount(inverse, minlength=len(first))
                 != _orderings(patterns, len(keys) + 1)).any():
             return None
-        return dict(zip(self._patterns(), map(distinct.__getitem__, where[first].tolist())))
+        return patterns, where[first], distinct
+
+    @_once
+    def _symmetric_orbits(self) -> dict[Index, ExactComplex] | None:
+        """The orbit map (sorted multiset -> value) if symmetric, else None."""
+        storage = self._orbit_storage()
+        if storage is None:
+            return None
+        rows, where, distinct = storage
+        return dict(zip(map(tuple, rows.tolist()), map(distinct.__getitem__, where.tolist())))
 
     @_once
     def _patterns(self) -> tuple[Index, ...]:
         """Distinct support multisets, sorted."""
-        if self._orbits is not None:
-            return tuple(self._orbits)
-        return tuple(map(tuple, self._multisets()[0].tolist()))
+        return tuple(map(tuple, self._pattern_rows().tolist()))
+
+    def _pattern_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of equal indices in the pattern rows: ``(starts, lengths)``.
+
+        ``starts`` holds each run's first position in the row-major flattened
+        rows, and ``lengths`` its length, the index's multiplicity in its row.
+        No loop runs over the columns, however wide the rows.
+        """
+        rows = self._pattern_rows()
+        flat = rows.ravel()
+        new = np.empty(flat.size, dtype=bool)
+        new[1:] = flat[1:] != flat[:-1]
+        new[::rows.shape[1]] = True  # each row starts a run
+        starts = np.flatnonzero(new)
+        return starts, np.diff(starts, append=flat.size)
 
     @_once
     def _incidence(self) -> np.ndarray:
@@ -626,28 +634,34 @@ class CubicalTensor:
 
         The dtype is the narrowest signed integer that holds r.
         """
-        r = self.r
-        if self._orbits is None:
-            keys = self._multisets()[0] - 1
-        else:
-            flat = chain.from_iterable(self._orbits)
-            keys = np.fromiter(flat, dtype=np.intp, count=len(self._orbits) * r).reshape(-1, r) - 1
-        out = np.zeros((len(keys), self.n), dtype=np.min_scalar_type(-r - 1))
-        rows = np.arange(len(keys))
-        for col in keys.T:  # one position at a time: no row repeats in an update
-            out[rows, col] += 1
+        rows = self._pattern_rows()
+        m, r = rows.shape
+        out = np.zeros((m, self.n), dtype=np.min_scalar_type(-r - 1))
+        # a sorted row holds each vertex in one run: one write per run
+        starts, lengths = self._pattern_runs()
+        out.reshape(-1)[starts // r * self.n + rows.ravel()[starts] - 1] = lengths
         return out
 
     @_once
     def _nnz(self) -> int:
-        if self._orbits is None:
-            return len(self._tuples[0])
-        return sum(_multiset_permutation_count(key) for key in self._orbits)
+        keys = self._arrays[0]
+        if not self._by_orbit or not len(keys):
+            return len(keys)
+        # r!/prod(m_i!) orderings of each orbit; orbits with equal places have equally many
+        places, counts = np.unique(self._run_places(*self._pattern_runs()), axis=0,
+                                   return_counts=True)
+        return sum(factorial(self.r) // prod(p) * c
+                   for p, c in zip(places.tolist(), counts.tolist()))
+
+    def _run_places(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Each pattern position's 1-based place in its run: a row's product is prod(m_i!)."""
+        rows = self._pattern_rows()
+        return (np.arange(rows.size) - np.repeat(starts, lengths) + 1).reshape(rows.shape)
 
     @_once
     def _expanded(self) -> dict[Index, ExactComplex]:
         """Every index tuple of an orbit-stored tensor, in sorted order."""
-        full = {idx: v for key, v in self._orbits.items()
+        full = {idx: v for key, v in self._symmetric_orbits().items()
                 for idx in set(permutations(key))}
         return {idx: full[idx] for idx in sorted(full)}
 
@@ -661,51 +675,25 @@ class CubicalTensor:
         storage has one row per distinct head k of each orbit, and count is
         the number of distinct orderings of the orbit with one k removed.
         """
-        r = self.r
-        if self._orbits is None:
-            keys = (self._tuples[0] - 1).astype(np.intp, copy=False)
+        keys = (self._arrays[0] - 1).astype(np.intp, copy=False)
+        if not self._by_orbit or not len(keys):  # no orbits: no rows either way
             return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), None, None
-        keys = np.array(list(self._orbits), dtype=np.intp).reshape(-1, r) - 1
-        same = keys[:, 1:] == keys[:, :-1]
-        # 1-based place of each position in its run of equal indices: the
-        # product over a row is the product of the multiplicities' factorials
-        place = np.ones(keys.shape)
-        for pos in range(1, r):
-            place[:, pos] = np.where(same[:, pos - 1], place[:, pos - 1] + 1, 1)
-        orderings = factorial(r) / place.prod(axis=1)
-        mult = (keys[:, :, None] == keys[:, None, :]).sum(axis=2)
-        first = np.ones(keys.shape, dtype=bool)
-        first[:, 1:] = ~same
-        source, pos = np.nonzero(first)
-        others = np.array([[c for c in range(r) if c != p] for p in range(r)],
-                          dtype=np.intp)
-        tails = keys[source[:, None], others[pos]].T
+        r = self.r
+        starts, mult = self._pattern_runs()  # the orbits are the patterns
+        source, pos = np.divmod(starts, r)
+        # r!/prod(m_i!) orderings of each orbit
+        orderings = factorial(r) / self._run_places(starts, mult).astype(float).prod(axis=1)
         # orderings of the tail: r!/prod(m_i!) with m_k lowered by one
-        count = orderings[source] * mult[source, pos] / r
-        return keys[source, pos], np.ascontiguousarray(tails), source, count
-
-    @_once
-    def _distinct_values(self) -> tuple[list[ExactComplex], np.ndarray]:
-        """The stored value objects, each once, and each entry's place among them.
-
-        Entries read from equal JSON values share one object, so whatever is
-        tested or converted per object is done once per distinct value.
-        """
-        if self._orbits is None:
-            _keys, where, distinct = self._tuples
-            return distinct, where
-        values = self._orbits.values()
-        distinct = {id(v): v for v in values}
-        place = {key: i for i, key in enumerate(distinct)}
-        where = np.fromiter(map(place.__getitem__, map(id, values)), dtype=np.intp,
-                            count=len(values))
-        return list(distinct.values()), where
+        count = orderings[source] * mult / r
+        cols = np.arange(r - 1)[:, None]
+        tails = keys[source, cols + (cols >= pos)]  # each row without its column pos
+        return keys.ravel()[starts], tails, source, count
 
     @_once
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float COO kernel of F: ``(heads, tails, weights)``."""
         heads, tails, source, count = self._rows()
-        distinct, where = self._distinct_values()
+        _keys, where, distinct = self._arrays
         if self.is_real():
             table = np.array([float(v.re) for v in distinct], dtype=np.float64)
         else:
@@ -760,15 +748,15 @@ class CubicalTensor:
             _record_fault(raw)
         values, where = _parse_interned(objs)
         _check_shape(r, n)
-        return cls._stored(r, n, _tuple_storage(_index_array(r, n, indices), n, where, values),
-                           None)
+        return cls._stored(r, n, _array_storage(_index_array(r, n, indices), n, where, values),
+                           False)
 
 
 class _OrbitEntries(Mapping):
     """Read-only full-tuple view of an orbit-stored tensor.
 
-    Length, lookup and membership are answered from the orbits; iteration
-    walks the expansion, which is built on first use and kept.
+    Length is counted from the orbit rows, lookup and membership read the
+    orbit map, and iteration walks the expansion, each built once.
     """
 
     __slots__ = ("_tensor",)
@@ -778,7 +766,7 @@ class _OrbitEntries(Mapping):
 
     def __getitem__(self, idx) -> ExactComplex:
         try:
-            return self._tensor._orbits[tuple(sorted(idx))]
+            return self._tensor._symmetric_orbits()[tuple(sorted(idx))]
         except TypeError:
             raise KeyError(idx) from None
 
@@ -802,24 +790,16 @@ class _OrbitEntries(Mapping):
 # structural maps
 # ---------------------------------------------------------------------------
 
-def _multiset_permutation_count(key: Index) -> int:
-    count = factorial(len(key))
-    mult: dict[int, int] = {}
-    for j in key:
-        mult[j] = mult.get(j, 0) + 1
-    for m in mult.values():
-        count //= factorial(m)
-    return count
-
-
 def is_symmetric(a: CubicalTensor) -> bool:
     """True iff every permutation of every index tuple carries the same value."""
-    return a._symmetric_orbits() is not None
+    return a._orbit_storage() is not None
 
 
 def apply_array(a: CubicalTensor, x: np.ndarray) -> np.ndarray:
     """F(x) for a numpy vector, through the tensor's cached float kernel."""
     heads, tails, weights = a._kernel()
+    if not len(heads):  # no terms, however many tail factors each would have
+        return np.zeros(a.n)
     terms = weights * x[tails[0]]
     for row in tails[1:]:
         terms *= x[row]

@@ -480,6 +480,24 @@ class TestUsageErrors:
         assert code == 2 and data is None
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_certificate_not_utf8_exit_2(self, tmp_path, capsys):
+        path = write_fixture(tmp_path, "edge-r", r=4)
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(b'{"kind":"odd-transversal","X":[1]}\xff')
+        code, data = run(tmp_path, "convert-certificate", "--input", path, "--cert", str(cert))
+        assert code == 2 and data is None
+        assert capsys.readouterr().err.startswith(f"error: cannot read {cert}: not UTF-8")
+
+    @pytest.mark.parametrize("verb", ["charpoly", "odd-transversal"])
+    def test_input_too_large_for_memory_exit_3(self, tmp_path, capsys, verb):
+        # an n-sized (charpoly: n-squared) structure for n = 2**63 - 1 cannot be allocated
+        p = tmp_path / "huge.json"
+        p.write_text('{"r": 2, "n": %d, "entries": [{"i": [1, %d], "v": 1}]}' % (2**63 - 1, 2**63 - 1))
+        code, data = run(tmp_path, verb, "--input", str(p))
+        assert code == 3 and data is None
+        err = capsys.readouterr().err
+        assert err == f"error: the input is too large for {verb}: out of memory\n"
+
     def test_unknown_verb_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -509,6 +527,17 @@ class TestSubprocessContract:
             self.cmd("charpoly", "--input", "-"), input=blob, capture_output=True
         )
         assert proc.returncode == 3  # n = 6 out of exact-charpoly contract
+
+    @pytest.mark.parametrize("verb", ["odd-coloring", "odd-transversal", "check-symmetric"])
+    @pytest.mark.parametrize("schema", ["entries", "edges"])
+    def test_zero_tensor_with_huge_index_count_finishes(self, tmp_path, verb, schema):
+        # no step may loop over the r = 3e9 columns of the empty index array
+        p = tmp_path / "zero.json"
+        p.write_text('{"r": 3000000000, "n": 2, "%s": []}' % schema)
+        proc = subprocess.run(self.cmd(verb, "--input", str(p)), capture_output=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data.get("feasible", data.get("symmetric")) is True
 
     def test_pipe_fixture_into_rho(self, tmp_path):
         first = subprocess.run(

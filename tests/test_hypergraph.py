@@ -55,10 +55,25 @@ class TestHypergraph:
             with pytest.raises(ValueError, match="out of range"):
                 Hypergraph(2, 3, [edge])
 
+    @pytest.mark.parametrize("edges,message", [
+        ([[1, 2, 3], [3, 2, 2], [1, 2, 9], [True, 1, 2]], "edge (3, 2, 2) must have 3 distinct vertices"),
+        ([[1, 2, 3], [4, 9, 1], [1, 1, 2], [1, 2]], "vertex 9 out of range 1..4 in edge (4, 9, 1)"),
+        ([[1, 2, 3], [4, 2], [1, 1, 2], ["1", 2, 3]], "edge (4, 2) must have 3 distinct vertices"),
+        ([[3, 2, 1], [2, 3, False], [1, 2, 2]], "vertex False out of range 1..4 in edge (2, 3, False)"),
+        ([[1, 2, 3], [2, 3, 2**70], [0, 1, 2]],
+         f"vertex {2**70} out of range 1..4 in edge (2, 3, {2**70})"),
+    ])
+    def test_first_bad_edge_is_named(self, edges, message):
+        # the array checks find a fault; the report is the first bad edge's, in document order
+        with pytest.raises(ValueError) as exc:
+            Hypergraph.from_json_dict({"r": 3, "n": 4, "edges": edges})
+        assert str(exc.value) == message
+
     def test_graph_is_its_adjacency_tensor(self):
         g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
-        assert isinstance(g, hs.CubicalTensor) and g._tuples is None  # orbits only
-        assert set(g._orbits.values()) == {hs.ExactComplex(1)}
+        assert isinstance(g, hs.CubicalTensor) and g._by_orbit  # one row per edge
+        assert g._arrays[0].tolist() == [[1, 2, 3], [2, 3, 4]]
+        assert g._arrays[1].tolist() == [0, 0] and g._arrays[2] == [hs.ExactComplex(1)]
         assert repr(g) == "Hypergraph(r=3, n=4, edges=2)"
         assert g == adjacency_tensor(g) and hash(g) == hash(adjacency_tensor(g))
         assert g.to_json_dict() == {"r": 3, "n": 4, "edges": [[1, 2, 3], [2, 3, 4]]}

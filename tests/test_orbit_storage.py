@@ -10,12 +10,14 @@ the same F(x), residuals and forms (both matching an exact sum over
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, prod
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hypersym import (
@@ -185,7 +187,7 @@ def test_adjacency_tensor_matches_permutation_expansion(g):
         g.r, g.n, [(perm, 1) for edge in g.edges for perm in permutations(edge)]
     )
     a = adjacency_tensor(g)
-    assert type(a) is CubicalTensor and a._orbits is g._orbits
+    assert type(a) is CubicalTensor and a._arrays is g._arrays and a._by_orbit
     assert a.to_json_dict() == expanded.to_json_dict()
     assert a == expanded and hash(a) == hash(expanded)
     assert g == a and hash(g) == hash(a)
@@ -214,3 +216,95 @@ def test_connectivity_matches_two_section(g):
     for edge in g.edges:
         section.add_edges_from(combinations(edge, 2))
     assert is_connected(g) == nx.is_connected(section)
+
+
+def _distinct_orderings(key) -> int:
+    """r!/prod(m_i!) for an index multiset."""
+    return factorial(len(key)) // prod(map(factorial, Counter(key).values()))
+
+
+@st.composite
+def orbit_storage_inputs(draw):
+    """(r, n, edges, items, expected): a Hypergraph or from_orbits input and its dict oracle.
+
+    ``from_orbits`` gets multisets in any vertex order, repeated ones, and
+    pairs that cancel to zero; ``Hypergraph`` gets repeated edges in any
+    vertex order.  Exactly one of ``edges`` and ``items`` is not None.
+    ``expected`` maps each sorted multiset to its value.
+    """
+    r = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        n = draw(st.integers(r, 7))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), r))),
+                              max_size=12))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+        edges = [tuple(draw(st.permutations(e))) for e in draw(st.permutations(edges))]
+        expected = dict.fromkeys(sorted({tuple(sorted(e)) for e in edges}), ExactComplex(1))
+        return r, n, edges, None, expected
+    n = draw(st.integers(1, 4))
+    keys = list(combinations_with_replacement(range(1, n + 1), r))
+    items = []
+    for key in draw(st.lists(st.sampled_from(keys), max_size=8)):
+        value = ExactComplex(draw(small), draw(st.sampled_from([0, 0, 1, -2])))
+        items.append((key, value))
+        if draw(st.booleans()):  # a cancelling or a repeated value on the same multiset
+            items.append((key, -value if draw(st.booleans()) else value))
+    items = [(tuple(draw(st.permutations(key))), v) for key, v in draw(st.permutations(items))]
+    acc: dict = {}
+    for key, v in items:
+        k = tuple(sorted(key))
+        acc[k] = acc.get(k, ExactComplex(0)) + v
+    expected = {k: acc[k] for k in sorted(acc) if acc[k]}
+    return r, n, None, items, expected
+
+
+@PROPERTY
+@example((2, 3, [], None, {}))
+@example((3, 2, None, [((2, 1, 1), 1), ((1, 1, 2), -1)], {}))
+@given(orbit_storage_inputs())
+def test_orbit_arrays_match_dict_oracle(case):
+    r, n, edges, items, expected = case
+    a = Hypergraph(r, n, edges) if items is None else CubicalTensor.from_orbits(r, n, items)
+    keys = list(expected)
+    assert a._by_orbit and is_symmetric(a)
+    assert a._patterns() == tuple(keys)
+    incidence = np.zeros((len(keys), n), dtype=int)
+    for i, key in enumerate(keys):
+        for j in key:
+            incidence[i, j - 1] += 1
+    assert np.array_equal(a._incidence(), incidence)
+
+    # one row per distinct head k of each orbit, in orbit order, heads ascending
+    rows = [(i, k, key[:key.index(k)] + key[key.index(k) + 1:])
+            for i, key in enumerate(keys) for k in sorted(set(key))]
+    heads, tails, source, count = a._rows()
+    assert heads.tolist() == [k - 1 for _, k, _ in rows]
+    assert tails.reshape(r - 1, -1).T.tolist() == [[j - 1 for j in tail] for *_, tail in rows]
+    if rows:
+        assert source.tolist() == [i for i, _, _ in rows]
+        assert count.tolist() == [_distinct_orderings(tail) for *_, tail in rows]
+    real = all(v.is_real for v in expected.values())
+    values = [expected[keys[i]] for i, _, _ in rows]
+    weights = [float(v.re) if real else complex(v) for v in values]
+    k_heads, k_tails, k_weights = a._kernel()
+    assert k_heads.tolist() == heads.tolist() and k_tails.tolist() == tails.tolist()
+    assert k_weights.tolist() == [w * _distinct_orderings(tail)
+                                  for w, (*_, tail) in zip(weights, rows)]
+
+    assert a.diagonal() == [expected.get((k,) * r, ExactComplex(0)) for k in range(1, n + 1)]
+    assert len(a.entries) == sum(map(_distinct_orderings, keys))
+    negated = -a
+    assert negated._by_orbit and negated._patterns() == tuple(keys)
+    assert dict(negated._symmetric_orbits()) == {k: -v for k, v in expected.items()}
+    if n > 1:  # every other vertex, renumbered 1, 2, ...
+        pos = {v: i for i, v in enumerate(range(1, n + 1, 2), start=1)}
+        sub = a.principal_submatrix(list(pos))
+        assert sub._by_orbit
+        assert sub._symmetric_orbits() == {tuple(pos[j] for j in key): v
+                                           for key, v in expected.items() if set(key) <= set(pos)}
+
+    twin = CubicalTensor(r, n, [(p, v) for key, v in expected.items() for p in set(permutations(key))])
+    assert not twin._by_orbit
+    assert a == twin and twin == a and hash(a) == hash(twin)
+    assert -a == -twin and hash(-a) == hash(-twin)
+    assert a._symmetric_orbits() == expected == twin._symmetric_orbits()
