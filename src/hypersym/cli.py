@@ -288,11 +288,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONVERGENCE_ERROR
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, MemoryError) as exc:
+        # numpy refuses an array whose byte size overflows with a ValueError
+        if isinstance(exc, MemoryError) or str(exc).startswith("array is too big"):
+            exc = f"the input is too large for {args.verb}: out of memory"
         print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION_ERROR
-    except MemoryError:
-        print(f"error: the input is too large for {args.verb}: out of memory", file=sys.stderr)
         return PRECONDITION_ERROR
     return 0
 

@@ -95,6 +95,7 @@ class ConvergenceError(RuntimeError):
 _STALL_ITERATIONS, _STALL_STEP = 3, 2.0 ** 10 * float(np.finfo(float).eps)
 
 
+@np.errstate(over="ignore")  # an overflow leaves a bracket or a norm that is not finite: see below
 def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
                           max_iter: int = 100_000) -> EigenPair:
     """Spectral radius and positive eigenvector of a nonnegative tensor.
@@ -125,8 +126,15 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         ratios = y / xp
         lo = float(ratios.min()) - shift
         hi = float(ratios.max()) - shift
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
+                             "in floating point")
         x_new = y ** (1.0 / p)
-        x_new /= np.linalg.norm(x_new, ord=r)
+        norm = np.linalg.norm(x_new, ord=r)
+        if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
+            x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
+            norm = np.linalg.norm(x_new, ord=r)
+        x_new /= norm
         if hi - lo < width:
             width, stalled = hi - lo, 0
         elif np.abs(x_new - x).max() <= _STALL_STEP * x.max():
@@ -134,7 +142,7 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         else:
             stalled = 0
         if width <= tol or stalled == _STALL_ITERATIONS:
-            rho = 0.5 * (lo + hi)
+            rho = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) unless lo + hi overflows
             return EigenPair.certify(a, rho, x, kind="H")
         x = x_new
     raise ConvergenceError(lo, hi, max_iter)

@@ -7,14 +7,14 @@ polynomial work are exact.  Every tensor is stored sparsely as arrays: its
 index rows as one lexicographically sorted int64 array, its distinct
 values, and each row's place among them.  The rows are index tuples, or
 the sorted index multisets of a symmetric tensor stored by orbit, as a
-hypergraph's adjacency tensor is.  Support patterns, symmetry and the float
-kernel are computed from those arrays; dicts of tuples or multisets are
-built only when ``entries``, ``entry`` or equality asks for them.  A tensor
-document's values are interned: each distinct raw value is parsed once,
-and the entries that carry it share one immutable ExactComplex, so
-predicates and float conversions run once per distinct value.  Values
-degrade to floating point only inside iterative numerics, which all read
-one float kernel cached on the tensor.
+hypergraph's adjacency tensor is.  Support patterns, symmetry, equality,
+each orbit's exact number of orderings and the float kernel are computed
+from those arrays; one dict of the rows is built only when ``entries`` or
+``entry`` asks for it.  A tensor document's values are interned: each
+distinct raw value is parsed once, and the entries that carry it share
+one immutable ExactComplex, so predicates and float conversions run once
+per distinct value.  Values degrade to floating point only inside
+iterative numerics, which all read one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, permutations, repeat
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
@@ -364,18 +364,6 @@ def _array_storage(keys: np.ndarray, n: int, where,
     return keys, where, values
 
 
-def _orderings(multisets: np.ndarray, cap: int) -> np.ndarray:
-    """The number of distinct orderings of each sorted index row, capped at ``cap``."""
-    count = np.ones(len(multisets), dtype=np.int64)
-    run = np.ones(len(multisets), dtype=np.int64)
-    for pos in range(1, multisets.shape[1]):
-        run = np.where(multisets[:, pos] == multisets[:, pos - 1], run + 1, 1)
-        # r!/prod(m_i!) over the first pos+1 indices: exact below cap, and
-        # once at cap it stays there, since run <= pos + 1
-        count = np.minimum(count * (pos + 1) // run, cap)
-    return count
-
-
 def _once(method):
     """Compute a no-argument method once per object and keep it in ``_cache``."""
     name = method.__name__
@@ -434,8 +422,8 @@ class CubicalTensor:
     per index multiset and stores the sorted multisets, with ``_by_orbit``
     set; its read-only ``entries`` expands them when first iterated.  Both
     forms compare and hash alike.  Derived data (symmetry, support patterns,
-    digraph, the float kernel of F) is computed on first use and kept in
-    ``_cache``, which equality and hashing ignore.
+    ordering counts, digraph, the float kernel of F) is computed on first
+    use and kept in ``_cache``, which equality and hashing ignore.
     """
 
     __slots__ = ("r", "n", "_arrays", "_by_orbit", "_cache")
@@ -484,27 +472,25 @@ class CubicalTensor:
     def entries(self) -> Mapping[Index, ExactComplex]:
         if self._by_orbit:
             return _OrbitEntries(self)
-        return MappingProxyType(self._entry_dict())
+        return MappingProxyType(self._row_dict())
 
     def entry(self, idx: Sequence[int]) -> ExactComplex:
-        if self._by_orbit:
-            return self._symmetric_orbits().get(tuple(sorted(idx)), _ZERO)
-        return self._entry_dict().get(tuple(idx), _ZERO)
+        return self._row_dict().get(tuple(sorted(idx) if self._by_orbit else idx), _ZERO)
+
+    def _canonical(self) -> tuple:
+        """Shape, symmetry, and the int64 rows and values of the orbit storage or ``_arrays``."""
+        storage = self._orbit_storage()
+        keys, where, distinct = self._arrays if storage is None else storage
+        return (self.r, self.n, storage is not None, keys.tobytes(),
+                tuple(map(distinct.__getitem__, where.tolist())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CubicalTensor):
             return NotImplemented
-        if (self.r, self.n) != (other.r, other.n):
-            return False
-        mine, theirs = self._symmetric_orbits(), other._symmetric_orbits()
-        if mine is None or theirs is None:  # a symmetric tensor equals symmetric ones only
-            return mine is theirs and self._entry_dict() == other._entry_dict()
-        return mine == theirs
+        return self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        orbits = self._symmetric_orbits()
-        body = self._entry_dict() if orbits is None else orbits
-        return hash((self.r, self.n, tuple(body.items())))
+        return hash(self._canonical())
 
     def __neg__(self) -> "CubicalTensor":
         keys, where, distinct = self._arrays
@@ -512,7 +498,8 @@ class CubicalTensor:
         return self._stored(self.r, self.n, negated, self._by_orbit)
 
     def __repr__(self) -> str:
-        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={self._nnz()})"
+        nnz = self._orbit_tuples() if self._by_orbit else len(self._arrays[0])
+        return f"CubicalTensor(r={self.r}, n={self.n}, nnz={nnz})"
 
     # -- convenience constructors ----------------------------------------
     @classmethod
@@ -566,8 +553,8 @@ class CubicalTensor:
 
     # -- cached derived data ---------------------------------------------
     @_once
-    def _entry_dict(self) -> dict[Index, ExactComplex]:
-        """The tuple storage as an ``index tuple -> value`` dict, in sorted order."""
+    def _row_dict(self) -> dict[Index, ExactComplex]:
+        """The storage as a ``row -> value`` dict in sorted order: tuples, or orbit multisets."""
         keys, where, distinct = self._arrays
         return dict(zip(map(tuple, keys.tolist()), map(distinct.__getitem__, where.tolist())))
 
@@ -592,21 +579,10 @@ class CubicalTensor:
         canon: dict[ExactComplex, int] = {}
         value_id = np.array([canon.setdefault(v, i) for i, v in enumerate(distinct)],
                             dtype=np.intp)[where]
-        if (value_id != value_id[first][inverse]).any():
-            return None
-        if (np.bincount(inverse, minlength=len(first))
-                != _orderings(patterns, len(keys) + 1)).any():
+        # no pattern has more distinct orderings stored than it has: all are stored iff they sum up
+        if (value_id != value_id[first][inverse]).any() or self._orbit_tuples() != len(keys):
             return None
         return patterns, where[first], distinct
-
-    @_once
-    def _symmetric_orbits(self) -> dict[Index, ExactComplex] | None:
-        """The orbit map (sorted multiset -> value) if symmetric, else None."""
-        storage = self._orbit_storage()
-        if storage is None:
-            return None
-        rows, where, distinct = storage
-        return dict(zip(map(tuple, rows.tolist()), map(distinct.__getitem__, where.tolist())))
 
     @_once
     def _patterns(self) -> tuple[Index, ...]:
@@ -622,11 +598,11 @@ class CubicalTensor:
         """
         rows = self._pattern_rows()
         flat = rows.ravel()
-        new = np.empty(flat.size, dtype=bool)
-        new[1:] = flat[1:] != flat[:-1]
-        new[::rows.shape[1]] = True  # each row starts a run
-        starts = np.flatnonzero(new)
-        return starts, np.diff(starts, append=flat.size)
+        new = np.empty(flat.size + 1, dtype=bool)
+        new[1:-1] = flat[1:] != flat[:-1]
+        new[::rows.shape[1]] = True  # each row starts a run, and the end closes the last one
+        bounds = new.nonzero()[0]
+        return bounds[:-1], bounds[1:] - bounds[:-1]
 
     @_once
     def _incidence(self) -> np.ndarray:
@@ -643,70 +619,82 @@ class CubicalTensor:
         return out
 
     @_once
-    def _nnz(self) -> int:
-        keys = self._arrays[0]
-        if not self._by_orbit or not len(keys):
-            return len(keys)
-        # r!/prod(m_i!) orderings of each orbit; orbits with equal places have equally many
-        places, counts = np.unique(self._run_places(*self._pattern_runs()), axis=0,
-                                   return_counts=True)
-        return sum(factorial(self.r) // prod(p) * c
-                   for p, c in zip(places.tolist(), counts.tolist()))
+    def _orbit_counts(self) -> tuple[np.ndarray, list[int]]:
+        """Each pattern row's class, and each class's exact ordering count r!/prod(m_i!).
 
-    def _run_places(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Each pattern position's 1-based place in its run: a row's product is prod(m_i!)."""
+        Rows with runs of equal indices of equal lengths at equal places form one class.
+        """
         rows = self._pattern_rows()
-        return (np.arange(rows.size) - np.repeat(starts, lengths) + 1).reshape(rows.shape)
+        starts, lengths = self._pattern_runs()
+        # each position's 1-based place in its run: a row's product is prod(m_i!)
+        places = (np.arange(rows.size) - np.repeat(starts, lengths) + 1).reshape(rows.shape)
+        classes, _first, cls = _unique_rows(places, self.r)
+        return cls, [factorial(self.r) // prod(row) for row in classes.tolist()]
+
+    @_once
+    def _orbit_tuples(self) -> int:
+        """The number of index tuples in the patterns' orbits: an orbit-stored tensor's nnz."""
+        cls, counts = self._orbit_counts()
+        return sum(map(mul, counts, np.bincount(cls, minlength=len(counts)).tolist()))
 
     @_once
     def _expanded(self) -> dict[Index, ExactComplex]:
         """Every index tuple of an orbit-stored tensor, in sorted order."""
-        full = {idx: v for key, v in self._symmetric_orbits().items()
+        full = {idx: v for key, v in self._row_dict().items()
                 for idx in set(permutations(key))}
         return {idx: full[idx] for idx in sorted(full)}
 
     @_once
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """Index structure of F: ``(heads, tails, source, count)``, 0-based.
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index structure of F: ``(heads, tails)``, 0-based.
 
-        Row t adds value[source[t]] * count[t] * prod(x[tails[:, t]]) to
-        F(x)[heads[t]], where value lists the stored values in order.  Tuple
-        storage has one row per entry, and source and count are None.  Orbit
-        storage has one row per distinct head k of each orbit, and count is
-        the number of distinct orderings of the orbit with one k removed.
+        Row t adds weight[t] * prod(x[tails[:, t]]) to F(x)[heads[t]], with
+        the weights of ``_kernel``.  Tuple storage has one row per entry.
+        Orbit storage has one row per distinct head k of each orbit, whose
+        tail is the orbit with one k removed.
         """
         keys = (self._arrays[0] - 1).astype(np.intp, copy=False)
         if not self._by_orbit or not len(keys):  # no orbits: no rows either way
-            return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), None, None
-        r = self.r
-        starts, mult = self._pattern_runs()  # the orbits are the patterns
-        source, pos = np.divmod(starts, r)
-        # r!/prod(m_i!) orderings of each orbit
-        orderings = factorial(r) / self._run_places(starts, mult).astype(float).prod(axis=1)
-        # orderings of the tail: r!/prod(m_i!) with m_k lowered by one
-        count = orderings[source] * mult / r
-        cols = np.arange(r - 1)[:, None]
+            return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T)
+        starts, _mult = self._pattern_runs()  # the orbits are the patterns
+        source, pos = np.divmod(starts, self.r)
+        cols = np.arange(self.r - 1)[:, None]
         tails = keys[source, cols + (cols >= pos)]  # each row without its column pos
-        return keys.ravel()[starts], tails, source, count
+        return keys.ravel()[starts], tails
 
     @_once
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float COO kernel of F: ``(heads, tails, weights)``."""
-        heads, tails, source, count = self._rows()
+        """Float COO kernel of F: ``(heads, tails, weights)`` on the rows of ``_rows``.
+
+        A row weighs its value, times for the head k of an orbit its tail's
+        orderings, count * m_k / r: one exact int division per (class, m_k).
+        """
+        heads, tails = self._rows()
         _keys, where, distinct = self._arrays
-        if self.is_real():
-            table = np.array([float(v.re) for v in distinct], dtype=np.float64)
-        else:
-            table = np.array([complex(v) for v in distinct], dtype=np.complex128)
-        vals = table[where]
-        if source is not None:
-            vals = vals[source] * count
-        return heads, tails, vals
+        table = np.array(list(map(complex, distinct)), dtype=np.complex128)
+        vals = (table.real if self.is_real() else table)[where]
+        if not self._by_orbit or not len(vals):
+            return heads, tails, vals
+        r = self.r
+        starts, mult = self._pattern_runs()
+        cls, counts = self._orbit_counts()
+        source = starts // r
+        width = int(mult.max()) + 1
+        pair = cls[source] * width + mult  # one code per (class, m_k) pair
+        present = np.bincount(pair)
+        weight = np.zeros(len(present))
+        try:
+            for code in present.nonzero()[0].tolist():
+                weight[code] = counts[code // width] * (code % width) / r
+        except OverflowError:  # the int quotient is past the float range
+            raise ValueError(f"F has a coefficient past the float range: a tail of {r - 1} "
+                             "indices with more orderings than a float holds") from None
+        return heads, tails, vals[source] * weight[pair]
 
     @_once
     def _arcs(self) -> np.ndarray:
         """Arc matrix of the associated digraph: [k, j] is an arc k+1 -> j+1."""
-        heads, tails, _source, _count = self._rows()
+        heads, tails = self._rows()
         arcs = np.zeros((self.n, self.n), dtype=bool)
         arcs[heads, tails] = True
         return arcs
@@ -755,8 +743,9 @@ class CubicalTensor:
 class _OrbitEntries(Mapping):
     """Read-only full-tuple view of an orbit-stored tensor.
 
-    Length is counted from the orbit rows, lookup and membership read the
-    orbit map, and iteration walks the expansion, each built once.
+    Length is counted from the orbits' exact ordering counts, lookup and
+    membership read the row dict, and iteration walks the expansion, each
+    built once.
     """
 
     __slots__ = ("_tensor",)
@@ -766,18 +755,18 @@ class _OrbitEntries(Mapping):
 
     def __getitem__(self, idx) -> ExactComplex:
         try:
-            return self._tensor._symmetric_orbits()[tuple(sorted(idx))]
+            return self._tensor._row_dict()[tuple(sorted(idx))]
         except TypeError:
             raise KeyError(idx) from None
 
     def __len__(self) -> int:
-        return self._tensor._nnz()
+        return self._tensor._orbit_tuples()
+
+    def __bool__(self) -> bool:  # without the length, which may pass sys.maxsize
+        return bool(len(self._tensor._arrays[0]))
 
     def __iter__(self):
         return iter(self._tensor._expanded())
-
-    def keys(self):
-        return self._tensor._expanded().keys()
 
     def items(self):
         return self._tensor._expanded().items()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -41,15 +42,41 @@ class TestRho:
         assert data["lambda"][1] == 0
         assert len(data["x"]) == 6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_radius_exit_3_with_empty_stdout(self, tmp_path, capsys):
-        # finite entries whose spectral radius overflows to inf: no JSON form
+        # finite entries whose spectral radius, 2e308, is past the float range
         p = tmp_path / "huge.json"
-        p.write_text('{"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1e308}, '
-                     '{"i": [2, 1], "v": 1e308}]}')
+        p.write_text(json.dumps({"r": 2, "n": 3, "entries": [
+            {"i": [i, j], "v": 1e308} for i in (1, 2, 3) for j in (1, 2, 3) if i != j]}))
         assert main(["rho", "--input", str(p)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "not finite" in err
+
+    @pytest.mark.parametrize("entries,rho", [
+        # rho = 1e308 is finite, though lo + hi is not
+        ([([1, 2], 1e308), ([2, 1], 1e308)], 1e308),
+        # the r-norm of the first iterate overflows: the iterate is scaled first
+        ([([1, 1], 2e307), ([1, 2], 4e307), ([2, 1], 4e307)], (1 + 17 ** 0.5) * 1e307),
+    ], ids=["bracket-sum", "iterate-norm"])
+    def test_radius_near_float_limit(self, tmp_path, entries, rho):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"r": 2, "n": 2, "entries": [{"i": i, "v": v} for i, v in entries]}))
+        code, data = run(tmp_path, "rho", "--input", str(p))
+        assert code == 0 and abs(data["lambda"][0] - rho) <= 1e-12 * rho and data["lambda"][1] == 0
+
+    def test_edge_with_170_factorial_orderings_per_tail(self, tmp_path):
+        # one edge of r = 171 vertices: rho = 170!, finite, though 171! is not
+        path = write_fixture(tmp_path, "edge-r", r=171)
+        code, data = run(tmp_path, "rho", "--input", path)
+        assert code == 0
+        assert abs(data["lambda"][0] - math.factorial(170)) <= 1e-12 * math.factorial(170)
+        assert run(tmp_path, "check-symmetric", "--input", path)[0] == 0
+
+    @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
+    def test_edge_past_float_range_exit_3(self, tmp_path, capsys, verb):
+        # r = 172: rho = 171! is past the float range, and so is each kernel weight
+        path = write_fixture(tmp_path, "edge-r", r=172)
+        assert run(tmp_path, verb, "--input", path) == (3, None)
+        assert "past the float range" in capsys.readouterr().err
 
     def test_graph_input_uses_adjacency(self, tmp_path):
         g = hs.Hypergraph(4, 4, [(1, 2, 3, 4)])
@@ -488,9 +515,10 @@ class TestUsageErrors:
         assert code == 2 and data is None
         assert capsys.readouterr().err.startswith(f"error: cannot read {cert}: not UTF-8")
 
-    @pytest.mark.parametrize("verb", ["charpoly", "odd-transversal"])
+    @pytest.mark.parametrize("verb", ["charpoly", "odd-transversal", "rho"])
     def test_input_too_large_for_memory_exit_3(self, tmp_path, capsys, verb):
-        # an n-sized (charpoly: n-squared) structure for n = 2**63 - 1 cannot be allocated
+        # an n-sized (charpoly: n-squared) structure for n = 2**63 - 1 cannot be allocated;
+        # numpy refuses rho's n-by-n arc matrix with a ValueError, not a MemoryError
         p = tmp_path / "huge.json"
         p.write_text('{"r": 2, "n": %d, "entries": [{"i": [1, %d], "v": 1}]}' % (2**63 - 1, 2**63 - 1))
         code, data = run(tmp_path, verb, "--input", str(p))

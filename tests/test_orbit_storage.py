@@ -223,6 +223,12 @@ def _distinct_orderings(key) -> int:
     return factorial(len(key)) // prod(map(factorial, Counter(key).values()))
 
 
+def _orbit_map(a) -> dict:
+    """The orbit storage of a symmetric tensor as a ``multiset -> value`` dict."""
+    keys, where, distinct = a._orbit_storage()
+    return {tuple(key): distinct[w] for key, w in zip(keys.tolist(), where.tolist())}
+
+
 @st.composite
 def orbit_storage_inputs(draw):
     """(r, n, edges, items, expected): a Hypergraph or from_orbits input and its dict oracle.
@@ -277,12 +283,9 @@ def test_orbit_arrays_match_dict_oracle(case):
     # one row per distinct head k of each orbit, in orbit order, heads ascending
     rows = [(i, k, key[:key.index(k)] + key[key.index(k) + 1:])
             for i, key in enumerate(keys) for k in sorted(set(key))]
-    heads, tails, source, count = a._rows()
+    heads, tails = a._rows()
     assert heads.tolist() == [k - 1 for _, k, _ in rows]
     assert tails.reshape(r - 1, -1).T.tolist() == [[j - 1 for j in tail] for *_, tail in rows]
-    if rows:
-        assert source.tolist() == [i for i, _, _ in rows]
-        assert count.tolist() == [_distinct_orderings(tail) for *_, tail in rows]
     real = all(v.is_real for v in expected.values())
     values = [expected[keys[i]] for i, _, _ in rows]
     weights = [float(v.re) if real else complex(v) for v in values]
@@ -295,16 +298,31 @@ def test_orbit_arrays_match_dict_oracle(case):
     assert len(a.entries) == sum(map(_distinct_orderings, keys))
     negated = -a
     assert negated._by_orbit and negated._patterns() == tuple(keys)
-    assert dict(negated._symmetric_orbits()) == {k: -v for k, v in expected.items()}
+    assert negated._row_dict() == {k: -v for k, v in expected.items()}
     if n > 1:  # every other vertex, renumbered 1, 2, ...
         pos = {v: i for i, v in enumerate(range(1, n + 1, 2), start=1)}
         sub = a.principal_submatrix(list(pos))
         assert sub._by_orbit
-        assert sub._symmetric_orbits() == {tuple(pos[j] for j in key): v
+        assert sub._row_dict() == {tuple(pos[j] for j in key): v
                                            for key, v in expected.items() if set(key) <= set(pos)}
 
     twin = CubicalTensor(r, n, [(p, v) for key, v in expected.items() for p in set(permutations(key))])
     assert not twin._by_orbit
     assert a == twin and twin == a and hash(a) == hash(twin)
     assert -a == -twin and hash(-a) == hash(-twin)
-    assert a._symmetric_orbits() == expected == twin._symmetric_orbits()
+    assert a._row_dict() == expected == _orbit_map(twin) == _orbit_map(a)
+    assert all(a.entry(p) == v for key, v in expected.items() for p in set(permutations(key)))
+
+
+@PROPERTY
+@given(st.integers(2, 8), st.integers(1, 3), st.data())
+def test_orbit_counts_match_brute_force(r, n, data):
+    # at most 3 vertices in up to 8 indices: most rows repeat an index
+    rows = data.draw(st.lists(st.tuples(*[st.integers(1, n)] * r), min_size=1, max_size=4))
+    orbits = CubicalTensor.from_orbits(r, n, [(row, 1) for row in rows])
+    tuples = CubicalTensor(r, n, [(row, 1) for row in rows])
+    orderings = [len(set(permutations(row))) for row in orbits._patterns()]
+    for a in (orbits, tuples):  # the same patterns
+        cls, counts = a._orbit_counts()
+        assert [counts[c] for c in cls.tolist()] == orderings
+    assert len(orbits.entries) == sum(orderings) and len(tuples.entries) == len(set(rows))

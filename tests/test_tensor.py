@@ -607,10 +607,9 @@ def _assert_matches_dict_oracle(r, n, records):
         assert [(idx, (v.re, v.im)) for idx, v in a.entries.items()] == list(expected.items())
         assert a._patterns() == tuple(patterns)
         assert np.array_equal(a._incidence(), incidence)
-        heads, tails, source, count = a._rows()
+        heads, tails = a._rows()
         assert heads.tolist() == [idx[0] - 1 for idx in keys]
         assert tails.tolist() == [[idx[c] - 1 for idx in keys] for c in range(1, r)]
-        assert source is None and count is None
         k_heads, k_tails, k_weights = a._kernel()
         assert k_heads.tolist() == heads.tolist() and k_tails.tolist() == tails.tolist()
         assert k_weights.tolist() == weights
@@ -627,13 +626,15 @@ def _assert_matches_dict_oracle(r, n, records):
             assert [(idx, (v.re, v.im)) for idx, v in sub.entries.items()] == [
                 (tuple(pos[j] for j in idx), value) for idx, value in expected.items()
                 if set(idx) <= set(pos)]
-        orbits = a._symmetric_orbits()
+        storage = a._orbit_storage()
         assert is_symmetric(a) == symmetric
         if symmetric:
-            assert [(key, (v.re, v.im)) for key, v in orbits.items()] == [
+            multisets, where, distinct = storage
+            assert [(tuple(key), (distinct[w].re, distinct[w].im))
+                    for key, w in zip(multisets.tolist(), where.tolist())] == [
                 (key, groups[key][0]) for key in sorted(groups)]
         else:
-            assert orbits is None
+            assert storage is None
 
 
 class TestArrayStorage:
