@@ -16,12 +16,16 @@ C[:, X] sums to an odd number in every row.  The residue system C phi ==
 r/2 is solved modulo each prime power p^e of r and recombined by CRT.  The
 elimination pivots on the row-major-first entry of minimum p-valuation
 among the unused columns of the remaining rows, so a pivot divides every
-other entry of its row and free variables can be set to zero.  The
-odd-transversal system over GF(2) takes the rows of C mod 2 as bitmasks.
+other entry of its row and free variables can be set to zero.  It divides
+no entry of the working matrix: each row below a pivot subtracts a row
+read from a table of the pivot row's multiples mod p^e, and adds p^e back
+where the difference is negative.  The odd-transversal system over GF(2)
+takes the rows of C mod 2 as bitmasks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -207,53 +211,68 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
     coefficient in a pivot row has valuation at least the pivot's;
     feasibility then depends only on the reduced right sides, and setting
     free variables to zero is lossless.
+
+    The working matrix is [rows | rhs] in an unsigned dtype, one residue
+    in [0, p^e) per entry, and no step divides its entries.  A pivot
+    subtracts t * (pivot row) from each row below whose pivot-column entry
+    a is nonzero, with t = (a / p^v) / unit; the row to subtract is read
+    from a table over the p^e values of a, and p^e is added back where the
+    difference is negative.
     """
     mod = p ** e
-    dtype = np.min_scalar_type(-mod * mod)  # holds every product of residues
-    m = np.remainder(rows, mod, dtype=np.promote_types(rows.dtype, dtype)).astype(dtype)
-    b = np.remainder(rhs, mod).astype(dtype)
-    nrows, ncols = m.shape
+    nrows, ncols = rows.shape
+    dtype = np.min_scalar_type(2 * mod - 1)  # unsigned, with p^e at most half its range
+    w = np.empty((nrows, ncols + 1), dtype=dtype)
+    for out, a in ((w[:, :ncols], rows), (w[:, ncols], rhs)):
+        # a signed dtype that holds p^e and every entry of a
+        a = a.astype(np.promote_types(a.dtype, np.min_scalar_type(-mod - 1)), copy=False)
+        if p == 2:  # in two's complement the low e bits are the residue
+            np.bitwise_and(a, mod - 1, out=out, casting="unsafe")
+        else:
+            np.remainder(a, mod, out=out, casting="unsafe")
     val = np.zeros(mod, dtype=np.int8)  # p-valuation of each residue; e for 0
     for k in range(1, e + 1):
         val[::p ** k] += 1
-    used = np.zeros(ncols, dtype=bool)
-    pivots: list[tuple[int, int, int, int]] = []  # (row, col, p^v, unit)
-    top = 0
-    while top < nrows and not used.all():
-        free = np.flatnonzero(~used)
-        v = e + 1
-        # row-major-first minimum, by blocks of rows: a unit ends the scan
+    residues = np.arange(mod)
+    pivots: list[tuple[int, int, int]] = []  # (col, p^v, unit) of the pivot in row i
+    for top in range(min(nrows, ncols)):
+        # row-major-first minimum, by blocks of rows: a unit ends the scan.
+        # Pivot columns are zero below their pivots, so they never hold it.
+        v = e
         for lo in range(top, nrows, _SCAN_ROWS):
-            vals = val[m[lo:lo + _SCAN_ROWS, free]]
-            i, k = divmod(int(vals.argmin()), len(free))
+            vals = val.take(w[lo:lo + _SCAN_ROWS, :ncols])
+            i, k = divmod(int(vals.argmin()), ncols)
             if vals[i, k] < v:
-                v, pi, pj = int(vals[i, k]), lo + i, int(free[k])
+                v, pi, pj = int(vals[i, k]), lo + i, k
                 if v == 0:
                     break
         if v == e:
             break
-        m[[top, pi]] = m[[pi, top]]
-        b[[top, pi]] = b[[pi, top]]
+        w[top], w[pi] = w[pi].copy(), w[top].copy()
         pv = p ** v
-        unit = int(m[top, pj]) // pv
-        below = top + 1 + np.flatnonzero(m[top + 1:, pj])
-        t = (m[below, pj] // pv) * pow(unit, -1, mod) % mod
-        m[below] = (m[below] - t[:, None] * m[top]) % mod
-        b[below] = (b[below] - t * b[top]) % mod
-        pivots.append((top, pj, pv, unit))
-        used[pj] = True
-        top += 1
-    rest = np.flatnonzero(b[top:])
-    if rest.size:
-        return "unsat", f"0 == {int(b[top + rest[0]])} (mod {mod}) after elimination"
-    x = np.zeros(ncols, dtype=np.int64)
-    for row, col, pv, unit in reversed(pivots):
-        s = (int(b[row]) - int(m[row] @ x)) % mod  # x[col] is still 0
+        unit = int(w[top, pj]) // pv
+        t = residues // pv * pow(unit, -1, mod)  # the multiplier of each pivot-column value
+        table = (np.multiply.outer(t, w[top]) % mod).astype(dtype)
+        below = top + 1 + w[top + 1:, pj].nonzero()[0]
+        rest = w.take(below, axis=0)
+        rest -= table.take(rest[:, pj], axis=0)
+        # a negative difference wrapped to the top of the unsigned range, and
+        # adding p^e wraps it again to the smaller value, its residue
+        np.minimum(rest, rest + mod, out=rest)
+        w[below] = rest
+        pivots.append((pj, pv, unit))
+    top = len(pivots)
+    bad = np.flatnonzero(w[top:, ncols])
+    if bad.size:
+        return "unsat", f"0 == {int(w[top + bad[0], ncols])} (mod {mod}) after elimination"
+    x = [0] * ncols
+    for (col, pv, unit), (*coeffs, b) in zip(reversed(pivots), reversed(w[:top].tolist())):
+        s = (b - sum(map(mul, coeffs, x))) % mod  # x[col] is still 0
         if s % pv:
             return "unsat", (f"pivot equation needs {s} divisible by {pv} "
                              f"(mod {mod})")
-        x[col] = ((s // pv) * pow(unit, -1, mod)) % (mod // pv)
-    return "sat", x.tolist()
+        x[col] = s // pv * pow(unit, -1, mod) % (mod // pv)
+    return "sat", x
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,6 +89,15 @@ class ConvergenceError(RuntimeError):
             f"iterations; spectral radius bracketed in [{lower!r}, {upper!r}]")
 
 
+def _r_norm(x: np.ndarray, r: int) -> np.floating:
+    """``np.linalg.norm(x, ord=r)`` of a real vector, with the same float operations."""
+    if r == 2:
+        return np.sqrt(x.dot(x))
+    absx = np.abs(x)
+    absx **= r
+    return np.add.reduce(absx) ** np.reciprocal(float(r))
+
+
 # The exact bracket never widens but can hold still while x moves.  A stall
 # is an iteration whose bracket is no narrower than the narrowest so far and
 # whose step max|x_new - x| is within 2^10 ulps of max x, i.e. rounding; 3 in
@@ -104,6 +114,8 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
     x <- normalize((F(x) + s x^[r-1])^[1/(r-1)]) with shift s = 1 + max
     diagonal entry; stops when the min/max eigenvalue bracket is within tol,
     or when it stalls at float precision (as for large spectral radii).
+    A first bracket past the float range reruns on the tensor times 2^-k,
+    whose largest value is near 1; the radius scales back by 2^k exactly.
     """
     if not a.is_nonnegative():
         raise ValueError("power iteration requires real nonnegative entries")
@@ -124,16 +136,21 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         xp = x ** p
         y = apply_array(a, x) + shift * xp
         ratios = y / xp
-        lo = float(ratios.min()) - shift
-        hi = float(ratios.max()) - shift
+        lo = float(np.minimum.reduce(ratios)) - shift
+        hi = float(np.maximum.reduce(ratios)) - shift
         if not math.isfinite(hi - lo):
+            if it == 0:
+                largest = max(v.re for v in a._arrays[2])
+                k = largest.numerator.bit_length() - largest.denominator.bit_length()
+                if k > 0:
+                    return _rescaled_power(a, k, tol, max_iter)
             raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
                              "in floating point")
         x_new = y ** (1.0 / p)
-        norm = np.linalg.norm(x_new, ord=r)
+        norm = _r_norm(x_new, r)
         if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
             x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
-            norm = np.linalg.norm(x_new, ord=r)
+            norm = _r_norm(x_new, r)
         x_new /= norm
         if hi - lo < width:
             width, stalled = hi - lo, 0
@@ -146,6 +163,22 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
             return EigenPair.certify(a, rho, x, kind="H")
         x = x_new
     raise ConvergenceError(lo, hi, max_iter)
+
+
+@np.errstate(over="ignore")  # a radius past the float range scales back to inf: see below
+def _rescaled_power(a: CubicalTensor, k: int, tol: float, max_iter: int) -> EigenPair:
+    """The Perron pair of ``a`` from that of a * 2^-k, certified against ``a``."""
+    try:
+        pair = spectral_radius_power(a._scaled(Fraction(1, 2 ** k)),
+                                     tol=math.ldexp(tol, -k), max_iter=max_iter)
+    except ConvergenceError as exc:
+        raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
+                               exc.iterations) from None
+    rho = float(np.ldexp(pair.lam.real, k))
+    if rho == math.inf:
+        raise ValueError(f"the spectral radius {pair.lam.real!r} * 2**{k} is not finite "
+                         "in floating point")
+    return EigenPair.certify(a, rho, pair.x, kind="H")
 
 
 # ---------------------------------------------------------------------------

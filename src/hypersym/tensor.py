@@ -28,7 +28,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, permutations, repeat
+from itertools import chain, compress, repeat
 from math import factorial, prod
 from operator import itemgetter, mul
 from types import MappingProxyType
@@ -493,9 +493,13 @@ class CubicalTensor:
         return hash(self._canonical())
 
     def __neg__(self) -> "CubicalTensor":
+        return self._scaled(-1)
+
+    def _scaled(self, factor: Scalar) -> "CubicalTensor":
+        """The tensor times a nonzero exact scalar, on the same index rows."""
         keys, where, distinct = self._arrays
-        negated = _array_storage(keys, self.n, where, [-v for v in distinct])
-        return self._stored(self.r, self.n, negated, self._by_orbit)
+        scaled = _array_storage(keys, self.n, where, [v * factor for v in distinct])
+        return self._stored(self.r, self.n, scaled, self._by_orbit)
 
     def __repr__(self) -> str:
         nnz = self._orbit_tuples() if self._by_orbit else len(self._arrays[0])
@@ -640,8 +644,7 @@ class CubicalTensor:
     @_once
     def _expanded(self) -> dict[Index, ExactComplex]:
         """Every index tuple of an orbit-stored tensor, in sorted order."""
-        full = {idx: v for key, v in self._row_dict().items()
-                for idx in set(permutations(key))}
+        full = {idx: v for key, v in self._row_dict().items() for idx in _orderings(key)}
         return {idx: full[idx] for idx in sorted(full)}
 
     @_once
@@ -738,6 +741,27 @@ class CubicalTensor:
         _check_shape(r, n)
         return cls._stored(r, n, _array_storage(_index_array(r, n, indices), n, where, values),
                            False)
+
+
+def _orderings(row: Index) -> Iterable[Index]:
+    """The distinct orderings of a sorted index row, in lexicographic order.
+
+    Each step is the next permutation in lexicographic order, so an orbit
+    with r!/prod(m_i!) orderings costs that many steps, not r!.
+    """
+    a = list(row)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
 
 
 class _OrbitEntries(Mapping):

@@ -56,10 +56,13 @@ class TestRho:
         ([([1, 2], 1e308), ([2, 1], 1e308)], 1e308),
         # the r-norm of the first iterate overflows: the iterate is scaled first
         ([([1, 1], 2e307), ([1, 2], 4e307), ([2, 1], 4e307)], (1 + 17 ** 0.5) * 1e307),
-    ], ids=["bracket-sum", "iterate-norm"])
+        # the weighted path: the first bracket's upper end, 2e308, overflows
+        ([([1, 2], 1e308), ([2, 1], 1e308), ([2, 3], 1e308), ([3, 2], 1e308)], 2 ** 0.5 * 1e308),
+    ], ids=["bracket-sum", "iterate-norm", "first-bracket"])
     def test_radius_near_float_limit(self, tmp_path, entries, rho):
         p = tmp_path / "huge.json"
-        p.write_text(json.dumps({"r": 2, "n": 2, "entries": [{"i": i, "v": v} for i, v in entries]}))
+        n = max(max(i) for i, _ in entries)
+        p.write_text(json.dumps({"r": 2, "n": n, "entries": [{"i": i, "v": v} for i, v in entries]}))
         code, data = run(tmp_path, "rho", "--input", str(p))
         assert code == 0 and abs(data["lambda"][0] - rho) <= 1e-12 * rho and data["lambda"][1] == 0
 

@@ -10,6 +10,7 @@ the same F(x), residuals and forms (both matching an exact sum over
 
 from __future__ import annotations
 
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -36,6 +37,7 @@ from hypersym import (
     odd_transversal,
     polynomial_form,
 )
+from hypersym.tensor import _orderings
 
 PROPERTY = settings(
     max_examples=60,
@@ -326,3 +328,22 @@ def test_orbit_counts_match_brute_force(r, n, data):
         cls, counts = a._orbit_counts()
         assert [counts[c] for c in cls.tolist()] == orderings
     assert len(orbits.entries) == sum(orderings) and len(tuples.entries) == len(set(rows))
+
+
+@PROPERTY
+@given(st.integers(2, 6), st.integers(1, 4), st.data())
+def test_orderings_are_the_distinct_permutations_in_order(r, n, data):
+    rows = data.draw(st.lists(st.tuples(*[st.integers(1, n)] * r), min_size=1, max_size=3))
+    a = CubicalTensor.from_orbits(r, n, [(row, 1) for row in rows])
+    for key in a._patterns():
+        assert list(_orderings(key)) == sorted(set(permutations(key)))
+    assert list(a.entries) == sorted(set().union(*(permutations(key) for key in rows)))
+
+
+def test_expansion_walks_orderings_not_r_factorial_permutations():
+    # 12!/10! = 132 orderings, where permutations() would walk 12! = 479,001,600
+    a = CubicalTensor.from_orbits(12, 3, {(1,) * 10 + (2, 3): 1})
+    start = time.perf_counter()
+    items = list(a.entries.items())
+    assert time.perf_counter() - start < 1.0
+    assert len(items) == len(set(items)) == len(a.entries) == 132

@@ -346,7 +346,10 @@ class TestComplementProperty:
 # ---------------------------------------------------------------------------
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)]
+# 11: the largest p^e whose products of residues fit int8; 128 and 131: the
+# largest with an 8-bit working matrix and the smallest with a 16-bit one
+PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (11, 1), (2, 7),
+                (131, 1)]
 
 
 def _valuation(a: int, p: int) -> int:
@@ -420,12 +423,18 @@ def oracle_solve_mod_prime_power(rows, rhs, ncols, p, e):
 @st.composite
 def residue_systems(draw):
     """Systems with zero rows, rows of high p-valuation and repeated rows
-    whose own right side often contradicts the first copy."""
+    whose own right side often contradicts the first copy.
+
+    Up to 40 rows, so that most rows share a pivot column.  Half of the
+    systems come as ``odd_coloring`` passes them: counts 0..r, for an r
+    that p^e divides, in the narrow signed dtype of ``_incidence()``.
+    """
     p, e = draw(st.sampled_from(PRIME_POWERS))
     mod = p ** e
     ncols = draw(st.integers(1, 6))
+    r = mod * draw(st.integers(1, 3)) if draw(st.booleans()) else None
     rows, rhs = [], []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(["zero", "high-valuation", "any", "repeat"]))
         if kind == "repeat" and rows:
             row = list(rows[draw(st.integers(0, len(rows) - 1))])
@@ -433,22 +442,26 @@ def residue_systems(draw):
             row = [0] * ncols
         else:
             scale = p ** draw(st.integers(1, e)) if kind == "high-valuation" else 1
-            row = [scale * draw(st.integers(-mod, 2 * mod)) for _ in range(ncols)]
+            values = st.integers(-mod, 2 * mod) if r is None else st.integers(0, r // scale)
+            row = [scale * draw(values) for _ in range(ncols)]
         rows.append(row)
         rhs.append(draw(st.integers(-mod, 2 * mod)))
-    return p, e, ncols, rows, rhs
+    dtype = np.int64 if r is None else np.min_scalar_type(-r - 1)
+    return p, e, ncols, rows, rhs, dtype
 
 
 class TestPrimePowerElimination:
     @PROPERTY
     @given(residue_systems())
-    @example((2, 2, 1, [[2]], [1]))  # 2x == 1 (mod 4): the pivot equation fails
-    @example((3, 2, 2, [[0, 0]], [4]))  # 0 == 4 (mod 9) after elimination
-    @example((2, 3, 3, [], []))  # no rows: x = 0
+    @example((2, 2, 1, [[2]], [1], np.int64))  # 2x == 1 (mod 4): the pivot equation fails
+    @example((3, 2, 2, [[0, 0]], [4], np.int64))  # 0 == 4 (mod 9) after elimination
+    @example((2, 3, 3, [], [], np.int64))  # no rows: x = 0
+    # the update leaves 130 (mod 131), and 130 + 131 is past 8 bits
+    @example((131, 1, 2, [[1, 0], [1, 130]], [0, 1], np.int64))
     def test_matches_python_oracle(self, system):
-        p, e, ncols, rows, rhs = system
+        p, e, ncols, rows, rhs, dtype = system
         expected = oracle_solve_mod_prime_power(rows, rhs, ncols, p, e)
-        args = (np.array(rows, dtype=np.int64).reshape(len(rows), ncols),
+        args = (np.array(rows, dtype=dtype).reshape(len(rows), ncols),
                 np.array(rhs, dtype=np.int64), p, e)
         got = _solve_mod_prime_power(*args)
         assert got == expected

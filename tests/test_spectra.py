@@ -33,6 +33,7 @@ from hypersym import (
     polynomial_form,
     spectral_radius_power,
 )
+from hypersym.spectra import _r_norm
 
 from conftest import random_graph_with_odd_transversal, random_symmetric_tensor
 
@@ -205,6 +206,15 @@ class TestPowerIteration:
         pair = spectral_radius_power(a)
         assert pair.residual <= 1e-10
         assert pair.lam.real > 5
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_r_norm_is_numpys_norm_bit_for_bit(r):
+    gen = np.random.default_rng(r)
+    for n, scale in [(1, 1.0), (5, 1.0), (40, 1e-3), (1000, 1.0), (1000, 1e30), (200, 1e300)]:
+        x = gen.random(n) * scale + 1e-300
+        with np.errstate(over="ignore"):  # 1e300 ** r is inf on both sides
+            assert _r_norm(x, r) == np.linalg.norm(x, ord=r)
 
 
 class TestNegationMaps:

@@ -1,0 +1,49 @@
+"""tools/compare_stdout.py on a smoke-size benchmark input directory."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+TOOL = os.path.join(ROOT, "tools", "compare_stdout.py")
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory) -> str:
+    out = str(tmp_path_factory.mktemp("tensor-json"))
+    subprocess.run([sys.executable, os.path.join(ROOT, "bench", "inputs.py"),
+                    "--workload", "tensor-json", "--seed", "3", "--out", out, "--src", SRC,
+                    "--smoke"], check=True, capture_output=True, timeout=170)
+    return out
+
+
+def _compare(work: str, change: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, TOOL, "--dir", work, "--base", SRC, "--change", change],
+                          capture_output=True, text=True, timeout=170)
+
+
+def test_same_tree_agrees(work):
+    proc = _compare(work, SRC)
+    assert proc.returncode == 0, proc.stderr
+    assert " 0 differ" in proc.stdout
+
+
+def test_changed_stdout_is_listed(work, tmp_path):
+    # a copy of the package whose eigenpairs print twice their residual
+    shutil.copytree(os.path.join(SRC, "hypersym"), tmp_path / "hypersym",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    spectra = tmp_path / "hypersym" / "spectra.py"
+    text = spectra.read_text()
+    assert '"residual": self.residual' in text
+    spectra.write_text(text.replace('"residual": self.residual', '"residual": 2 * self.residual'))
+    proc = _compare(work, str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    assert "rho:nonneg-r3-n10-m600: stdout differ (exit 0 -> 0)" in proc.stdout
+    assert "verify-eigenpair:nonneg-r3-n10-m600: stdout differ" in proc.stdout
+    assert "odd-transversal:" not in proc.stdout

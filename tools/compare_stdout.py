@@ -1,0 +1,114 @@
+"""Compare the CLI's output on two source trees, job by job.
+
+Runs every job of an input directory written by ``bench/inputs.py`` in
+process, once on each tree, each tree in its own interpreter, and lists
+every job whose exit code, stdout digest or stderr differs.  As in
+``bench/worker.py``, the verify-eigenpair jobs read the pair that their
+``rho`` job printed; here it is the base tree's ``rho`` that writes it, so
+both trees verify the same pair.
+
+    python3 bench/inputs.py --workload tensor-json --seed 7 --out DIR --src BASE/src
+    python3 tools/compare_stdout.py --dir DIR --base BASE/src --change src
+
+Exits 0 when every job agrees, 1 when some job differs.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+
+
+def _run(main, argv: list[str]) -> tuple[int, bytes, str]:
+    """Exit code, stdout bytes and stderr text of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code if isinstance(exc.code, int) else 2
+    except Exception:  # noqa: BLE001  (an uncaught error is a result to compare)
+        code = -1
+        err.write(traceback.format_exc())
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def run_tree(work: str, src: str, write_pairs: bool) -> list[dict]:
+    """Every job of ``work`` on the package in ``src``, in job-list order."""
+    sys.path.insert(0, src)
+    import hypersym.cli
+
+    with open(os.path.join(work, "jobs.json"), encoding="utf-8") as fh:
+        jobs = json.load(fh)
+    argvs = [[os.path.join(work, a) if a.endswith(".json") else a for a in job["argv"]]
+             for job in jobs]
+    if write_pairs:
+        by_id = {job["id"]: i for i, job in enumerate(jobs)}
+        for job in jobs:
+            if "pair_from" in job:
+                _, data, _ = _run(hypersym.cli.main, argvs[by_id[job["pair_from"]]])
+                with open(os.path.join(work, job["pair"]), "wb") as fh:
+                    fh.write(data)
+    results = []
+    for job, argv in zip(jobs, argvs):
+        code, data, err = _run(hypersym.cli.main, argv)
+        results.append({"id": job["id"], "code": code,
+                        "stdout": hashlib.sha256(data).hexdigest(), "stderr": err})
+    return results
+
+
+def _child(work: str, src: str, write_pairs: bool, out: str) -> None:
+    argv = [sys.executable, os.path.abspath(__file__), "--dir", work, "--run", src, "--out", out]
+    if write_pairs:
+        argv.append("--write-pairs")
+    subprocess.run(argv, check=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dir", required=True, help="directory written by bench/inputs.py")
+    parser.add_argument("--base", help="directory holding the base tree's hypersym package")
+    parser.add_argument("--change", help="directory holding the changed tree's hypersym package")
+    parser.add_argument("--run", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--out", help=argparse.SUPPRESS)
+    parser.add_argument("--write-pairs", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    work = os.path.abspath(args.dir)
+
+    if args.run:  # one tree, in this interpreter
+        results = run_tree(work, os.path.abspath(args.run), args.write_pairs)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(results, fh)
+        return 0
+
+    if not (args.base and args.change):
+        parser.error("--base and --change are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = []
+        for name, src, write_pairs in (("base", args.base, True), ("change", args.change, False)):
+            out = os.path.join(tmp, f"{name}.json")
+            _child(work, os.path.abspath(src), write_pairs, out)
+            with open(out, encoding="utf-8") as fh:
+                sides.append(json.load(fh))
+    base, change = sides
+    differ = 0
+    for a, b in zip(base, change):
+        fields = [f for f in ("code", "stdout", "stderr") if a[f] != b[f]]
+        if fields:
+            differ += 1
+            print(f"{a['id']}: {', '.join(fields)} differ "
+                  f"(exit {a['code']} -> {b['code']})")
+    codes = sorted({r["code"] for r in base})
+    print(f"{len(base)} jobs, {differ} differ; base exit codes {codes}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
