@@ -29,6 +29,22 @@ __all__ = [
 ]
 
 
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The least common denominator of the coefficients, and each one times it."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending integer coefficients of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 class UniPoly:
     """Univariate polynomial with exact rational coefficients, ascending."""
 
@@ -69,24 +85,24 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        den_a, a = _numerators(self.coeffs)
+        den_b, b = _numerators(other.coeffs)
+        den = den_a * den_b
+        return UniPoly([Fraction(c, den) for c in _convolve(a, b)])
 
     def __pow__(self, e: int) -> "UniPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = UniPoly([1])
-        base = self
+        den, base = _numerators(self.coeffs)
+        den **= e
+        out = [1]
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = _convolve(out, base)
             e >>= 1
-        return out
+            if e:
+                base = _convolve(base, base)
+        return UniPoly([Fraction(c, den) for c in out])
 
     def compose_neg(self) -> "UniPoly":
         """p(-x)."""

@@ -17,6 +17,13 @@ residues by the Chinese remainder theorem once the product of the primes
 exceeds twice a certified bound on every coefficient.  `macaulay_matrix`
 is the one matrix builder; `shifted_resultant_coeffs` joins the two.
 
+The engine works in int64 on residues below 2**31.  An elementwise
+product of two residues is below 2**62, so a row update needs one
+remainder.  Sums of products go through one helper, `_dot_mod`, which
+splits its small operand at bit 16; its int64 sums stay exact while the
+entries are below 2**31 and the inner dimension is below 2**16, that is
+for any matrix of order below 65,536 (32 GB of int64 per prime).
+
 The single-node evaluators (`sylvester_resultant`, `macaulay_resultant_3`
 over `det_fractions` and fraction-free Bareiss elimination) and Newton
 `interpolate` build the same matrix at one value of lam; they are the
@@ -267,47 +274,58 @@ def _negated_residues(matrix: Sequence[Sequence[int]], primes: list[int]) -> np.
     return np.remainder(h, ps, out=h)
 
 
-def _dot_mod(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(a @ b) mod p for residues below 2**31, batched over the first axis.
+# Shifts that split a residue below 2**31 at bit 16: (v >> 16, v) & 0xFFFF.
+_HALVES = np.array([16, 0], dtype=np.int64)
 
-    ``a`` is split at bit 16 so that no int64 sum of products overflows for
-    inner dimensions below 2**16.
+
+def _dot_mod(a: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A value congruent to a @ v modulo p, batched over the first axis.
+
+    ``a`` has shape (k, rows, m) and ``v`` (k, m, 1); their entries are
+    residues below 2**31, ``p`` has shape (k, 1) and m is below 2**16.
+    ``v`` is split at bit 16 into (k, m, 2) halves below 2**16, so one
+    matmul gives both half sums, each below 2**63.  The result, shape
+    (k, rows), is congruent to a @ v and lies in [0, 2**63 - 2**47): the
+    caller can add a residue to it, or subtract it from one, in int64.
     """
-    hi = (a >> 16) @ b % p
-    return ((hi << 16) + (a & 0xFFFF) @ b) % p
+    sums = a @ (v >> _HALVES & 0xFFFF)
+    return (sums[..., 0] % p << 16) + sums[..., 1]
 
 
 def _hessenberg_mod(h: np.ndarray, primes: list[int]) -> None:
     """Reduce each h[b] in place to upper Hessenberg form by similarity mod primes[b]."""
-    n = h.shape[1]
-    p = np.array(primes, dtype=np.int64)[:, None, None]
+    k, n, _ = h.shape
+    p = np.array(primes, dtype=np.int64)[:, None]
+    p3 = p[:, :, None]
+    batch = np.arange(k)[:, None]
+    swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    columns = h.transpose(0, 2, 1)
     for j in range(n - 2):
-        nonzero = h[:, j + 1:, j] != 0
-        found = nonzero.any(axis=1)
-        if not found.any():
+        # the pivot: the first nonzero entry of column j from row j+1 down, as
+        # an offset from row j+1 (0 where the column is zero there)
+        offset = (h[:, j + 1:, j] != 0).argmax(axis=1)
+        if np.count_nonzero(offset):
+            # swap row j+1 with the pivot row, then the same columns, for
+            # every prime at once (a prime whose offset is 0 swaps in place)
+            pairs = offset[:, None, None] * swap + (j + 1)
+            h[batch, pairs[:, 0]] = h[batch, pairs[:, 1]]
+            columns[batch, pairs[:, 0]] = columns[batch, pairs[:, 1]]
+        pivots = h[:, j + 1, j].tolist()
+        if not any(pivots):
             continue
-        pivot = nonzero.argmax(axis=1) + (j + 1)
-        # Swap the pivot into row j+1, and the matching columns, for each
-        # group of primes that share a pivot row.
-        for i in sorted(set(pivot[found & (pivot != j + 1)].tolist())):
-            sel = found & (pivot == i)
-            block = h[sel]
-            block[:, [j + 1, i]] = block[:, [i, j + 1]]
-            block[:, :, [j + 1, i]] = block[:, :, [i, j + 1]]
-            h[sel] = block
-        inv = [pow(v, -1, q) if v else 0 for v, q in zip(h[:, j + 1, j].tolist(), primes)]
-        mult = h[:, j + 2:, j, None] * np.array(inv, dtype=np.int64)[:, None, None] % p
-        if not mult.any():
+        inv = [pow(v, -1, q) if v else 0 for v, q in zip(pivots, primes)]
+        mult = h[:, j + 2:, j, None] * np.array(inv, dtype=np.int64)[:, None, None]
+        np.remainder(mult, p3, out=mult)
+        if not np.count_nonzero(mult):
             continue
-        # rows below: row_k -= mult_k * row_{j+1}; then column j+1 gains
-        # sum_k mult_k * column_k, which keeps the similarity.
+        # rows below: row_i -= mult_i * row_{j+1}, each term in (-2**62, 2**31);
+        # then column j+1 gains sum_i mult_i * column_i, which keeps the similarity.
         below = h[:, j + 2:, j:]
-        step = mult * h[:, j + 1, None, j:]
-        below -= np.remainder(step, p, out=step)
-        del step  # freed before the column update makes its temporaries
-        np.remainder(below, p, out=below)
-        h[:, :, j + 1, None] += _dot_mod(h[:, :, j + 2:], mult, p)
-        np.remainder(h[:, :, j + 1], p[:, 0], out=h[:, :, j + 1])
+        below -= mult * h[:, j + 1, None, j:]
+        np.remainder(below, p3, out=below)
+        column = h[:, :, j + 1]
+        column += _dot_mod(h[:, :, j + 2:], mult, p)
+        np.remainder(column, p, out=column)
 
 
 def _hessenberg_charpolys(h: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -315,23 +333,26 @@ def _hessenberg_charpolys(h: np.ndarray, primes: list[int]) -> np.ndarray:
 
     ``h`` is upper Hessenberg.  With p_m the charpoly of the leading m x m
     block and s_t = h[t, t-1],
-    p_m = (x - h[m-1, m-1]) p_{m-1} - sum_{i<m-1} h[i, m-1] s_{i+1}...s_{m-1} p_i.
+    p_m = x p_{m-1} - sum_{i<m} h[i, m-1] s_{i+1}...s_{m-1} p_i,
+    where the product is empty (1) for i = m - 1.
     """
     k, n, _ = h.shape
-    p = np.array(primes, dtype=np.int64)[:, None, None]
+    p = np.array(primes, dtype=np.int64)[:, None]
     polys = np.zeros((k, n + 1, n + 1), dtype=np.int64)
     polys[:, 0, 0] = 1
-    carry = np.zeros((k, 1, 0), dtype=np.int64)  # s_{i+1} ... s_{m-1} for i < m - 1
-    one = np.ones((k, 1, 1), dtype=np.int64)
+    by_degree = polys.transpose(0, 2, 1)
+    carry = np.ones((k, n), dtype=np.int64)  # s_{i+1} ... s_{m-1} for i < m
     for m in range(1, n + 1):
-        prev = polys[:, m - 1, None]
-        cur = polys[:, m, None]
-        cur[:, :, 1:] = prev[:, :, :-1]
-        cur -= h[:, m - 1, m - 1, None, None] * prev % p
         if m > 1:
-            carry = np.concatenate([carry, one], axis=2) * h[:, m - 1, m - 2, None, None] % p
-            coef = h[:, None, :m - 1, m - 1] * carry % p
-            cur -= _dot_mod(coef, polys[:, :m - 1], p)
+            chain = carry[:, :m - 1]
+            chain *= h[:, m - 1, m - 2, None]
+            np.remainder(chain, p, out=chain)
+        coef = h[:, :m, m - 1] * carry[:, :m]
+        np.remainder(coef, p, out=coef)
+        # p_i has degree i, so only the first m coefficients take part
+        cur = polys[:, m]
+        cur[:, 1:m + 1] = polys[:, m - 1, :m]
+        cur[:, :m] -= _dot_mod(by_degree[:, :m, :m], coef[:, :, None], p)
         np.remainder(cur, p, out=cur)
     return polys[:, n]
 

@@ -20,7 +20,7 @@ import numpy as np
 from .parity import (ColoringInfeasible, OddColoring, OddTransversal,
                      odd_coloring, verify_certificate)
 from .tensor import (CubicalTensor, apply_array, components, eigen_residual,
-                     is_symmetric, is_weakly_irreducible)
+                     is_symmetric, is_weakly_irreducible, to_float)
 
 __all__ = [
     "EigenPair", "NegationMap", "ConvergenceError",
@@ -127,7 +127,7 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     n, r = a.n, a.r
     p = r - 1
-    shift = 1.0 + max((float(v.re) for v in a.diagonal()), default=0.0)
+    shift = 1.0 + max((to_float(v.re) for v in a.diagonal()), default=0.0)
 
     x = np.full(n, n ** (-1.0 / r))
     lo = hi = math.nan

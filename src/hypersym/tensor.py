@@ -137,7 +137,7 @@ class ExactComplex:
         return self.im == 0
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(to_float(self.re), to_float(self.im))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -146,6 +146,19 @@ class ExactComplex:
 
 
 _ZERO = ExactComplex(0)
+
+
+def to_float(q: Fraction) -> float:
+    """float(q); a ValueError that names q when q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        pass
+    try:
+        name = str(q)
+    except ValueError:  # past the int/str digit limit
+        name = f"of about 2**{q.numerator.bit_length() - q.denominator.bit_length()}"
+    raise ValueError(f"the value {name} is past the float range")
 
 
 def _encode_component(f: Fraction) -> int | float | str:

@@ -31,6 +31,7 @@ from hypersym import (
 from hypersym.charpoly import _cleared, _scaled
 from hypersym.resultants import (
     DegenerateNode,
+    _primes_above,
     det_fractions,
     interpolate,
     macaulay_matrix,
@@ -105,6 +106,19 @@ def sympy_macaulay_value(a: CubicalTensor, lam_value: int):
     return m.det() / det_sub
 
 
+# rationals with numerators and denominators up to 10**30
+fractions = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)) | st.integers(-3, 3)
+
+
+def reference_product(a, b) -> list[Fraction]:
+    """Ascending coefficients of a * b, convolved Fraction by Fraction."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
 class TestUniPoly:
     def test_trailing_zeros_trimmed(self):
         assert UniPoly([1, 2, 0, 0]).degree == 1
@@ -156,6 +170,18 @@ class TestUniPoly:
         roots = UniPoly([-2, 0, 1]).roots()
         vals = sorted(v.real for v in roots)
         assert vals == pytest.approx([-(2**0.5), 2**0.5], abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(fractions, max_size=7), b=st.lists(fractions, max_size=7),
+           e=st.integers(0, 5))
+    def test_products_match_fraction_convolution(self, a, b, e):
+        # an empty list is the zero polynomial, a one-element list a constant
+        p, q = UniPoly(a), UniPoly(b)
+        assert p * q == UniPoly(reference_product(p.coeffs, q.coeffs))
+        power = [Fraction(1)]
+        for _ in range(e):
+            power = reference_product(power, p.coeffs)
+        assert p ** e == UniPoly(power)
 
 
 class TestCharpoly2Matrix:
@@ -512,13 +538,33 @@ class TestEngine:
     def test_pivots_that_vanish_modulo_one_prime(self):
         # Multiples of the largest word prime are zero modulo it but not
         # modulo the others, so the primes take different pivot rows.
-        q = 2**31 - 1
+        q, q2 = _primes_above(2**31)
         rng = random.Random(5)
-        for n in (3, 5, 8):
-            m = [[q * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(-2, 2)
-                  for _ in range(n)] for _ in range(n)]
+        inputs = [[[q * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(-2, 2)
+                    for _ in range(n)] for _ in range(n)] for n in (3, 5, 8)]
+        # at the first step the pivot is row 3 modulo q, row 2 modulo q2 and
+        # row 1 modulo every other prime: three pivot groups, and q's pivot
+        # row is zero modulo q2
+        three = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
+        for i, v in ((1, q * q2), (2, q), (3, q2)):
+            three[i][0] = v
+        # only q2, not the first prime, moves its pivot
+        second = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
+        second[1][0], second[2][0] = q2, 1
+        # entry (1, 0) is zero: every prime swaps in row 2
+        agree = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
+        agree[1][0], agree[2][0] = 0, 1
+        # all-ones: every residue of -M is p - 1, the largest operands there are
+        ones = [[1] * 40 for _ in range(40)]
+        # from n = 91 on, each batch holds one prime
+        sparse = [[rng.choice((-3, -1, 0, 0, 0, 0, 1, 2)) for _ in range(n)] for n in (91, 96)
+                  for _ in range(n)]
+        inputs += [three, second, agree, ones, sparse[:91], sparse[91:]]
+        for m in inputs:
+            n = len(m)
             p = UniPoly(shifted_det_coeffs(m))
-            for lam in (-1, 0, 2):
+            assert p.degree == n and p.is_monic()
+            for lam in ((-1, 0, 2) if n < 90 else (-1, 2)):
                 shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)]
                            for i in range(n)]
                 assert p(Fraction(lam)) == det_fractions(shifted)

@@ -81,6 +81,30 @@ class TestRho:
         assert run(tmp_path, verb, "--input", path) == (3, None)
         assert "past the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb, where", [
+        ("rho", [(1, 2), (2, 1)]),
+        ("check-symmetric", [(1, 2), (2, 1)]),
+        ("verify-eigenpair", [(1, 2), (2, 1)]),
+        # the shift of the power iteration is 1 + the largest diagonal entry
+        ("rho", [(1, 1)]),
+        ("verify-eigenpair", [(1, 1)]),
+    ], ids=["rho-off-diagonal", "check-symmetric-off-diagonal", "verify-eigenpair-off-diagonal",
+            "rho-diagonal", "verify-eigenpair-diagonal"])
+    def test_integer_value_past_float_range_exit_3(self, tmp_path, capsys, verb, where):
+        # 10**400 written out as a JSON integer: exact, but not a float
+        big = 10 ** 400
+        entries = {(1, 2): 1, (2, 1): 1} | {i: big for i in where}
+        p = tmp_path / "big.json"
+        p.write_text('{"r": 2, "n": 2, "entries": [%s]}' % ", ".join(
+            f'{{"i": [{i}, {j}], "v": {v}}}' for (i, j), v in entries.items()))
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"kind": "H", "lambda": [1, 0], "residual": 0,
+                                    "x": [[1, 0], [1, 0]]}))
+        argv = [verb, "--input", str(p)] + (["--pair", str(pair)] if verb == "verify-eigenpair" else [])
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"the value {big} is past the float range" in err
+
     def test_graph_input_uses_adjacency(self, tmp_path):
         g = hs.Hypergraph(4, 4, [(1, 2, 3, 4)])
         p = tmp_path / "edge.json"

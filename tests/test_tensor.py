@@ -63,6 +63,13 @@ class TestExactComplex:
         assert not ExactComplex(0, 1).is_real
         assert complex(ExactComplex(1, -2)) == 1 - 2j
 
+    def test_conversion_past_float_range_names_the_value(self):
+        with pytest.raises(ValueError, match=r"the value -1000\d* is past the float range"):
+            complex(ExactComplex(0, -10**400))
+        # past the int/str digit limit the value is named by its size
+        with pytest.raises(ValueError, match=r"the value of about 2\*\*14284 is past"):
+            complex(ExactComplex(10**4300))
+
     def test_hash_consistency(self):
         assert hash(ExactComplex(2, 0)) == hash(ExactComplex(Fraction(4, 2), 0))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -47,3 +48,21 @@ def test_changed_stdout_is_listed(work, tmp_path):
     assert "rho:nonneg-r3-n10-m600: stdout differ (exit 0 -> 0)" in proc.stdout
     assert "verify-eigenpair:nonneg-r3-n10-m600: stdout differ" in proc.stdout
     assert "odd-transversal:" not in proc.stdout
+
+
+def test_repeat_prints_per_verb_median_times(work, tmp_path):
+    # a copy of the tool outside the repository: it needs nothing from bench/
+    tool = tmp_path / "compare_stdout.py"
+    shutil.copy(TOOL, tool)
+    proc = subprocess.run([sys.executable, str(tool), "--dir", work, "--base", SRC,
+                           "--change", SRC, "--repeat", "2"],
+                          capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert " 0 differ" in lines[0]
+    assert lines[1].split() == ["verb", "base", "ms", "change", "ms"]
+    with open(os.path.join(work, "jobs.json"), encoding="utf-8") as fh:
+        verbs = {job["argv"][0] for job in json.load(fh)}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert set(rows) == verbs
+    assert all(float(ms) > 0 for cells in rows.values() for ms in cells)

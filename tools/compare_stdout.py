@@ -10,6 +10,14 @@ both trees verify the same pair.
     python3 bench/inputs.py --workload tensor-json --seed 7 --out DIR --src BASE/src
     python3 tools/compare_stdout.py --dir DIR --base BASE/src --change src
 
+With ``--repeat N`` the job list runs N times on each tree, each run in a
+new interpreter; the tree that runs first alternates from round to round.
+Outputs are compared on the first round, and a table gives each verb's
+median job time in ms on each tree, a job's time being its median over the
+rounds:
+
+    python3 tools/compare_stdout.py --dir DIR --base BASE/src --change src --repeat 5
+
 Exits 0 when every job agrees, 1 when some job differs.
 """
 from __future__ import annotations
@@ -20,9 +28,11 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import traceback
 
 
@@ -58,17 +68,33 @@ def run_tree(work: str, src: str, write_pairs: bool) -> list[dict]:
                     fh.write(data)
     results = []
     for job, argv in zip(jobs, argvs):
+        start = time.perf_counter()
         code, data, err = _run(hypersym.cli.main, argv)
-        results.append({"id": job["id"], "code": code,
+        ms = 1e3 * (time.perf_counter() - start)
+        results.append({"id": job["id"], "verb": argv[0], "code": code, "ms": ms,
                         "stdout": hashlib.sha256(data).hexdigest(), "stderr": err})
     return results
 
 
-def _child(work: str, src: str, write_pairs: bool, out: str) -> None:
+def _child(work: str, src: str, write_pairs: bool, out: str) -> list[dict]:
     argv = [sys.executable, os.path.abspath(__file__), "--dir", work, "--run", src, "--out", out]
     if write_pairs:
         argv.append("--write-pairs")
     subprocess.run(argv, check=True)
+    with open(out, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _timing_table(rounds: list[dict[str, list[dict]]]) -> list[str]:
+    """Each verb's median job time in ms per tree, a job's time its median over rounds."""
+    lines = [f"{'verb':<20} {'base ms':>10} {'change ms':>10}"]
+    jobs = rounds[0]["base"]
+    for verb in dict.fromkeys(job["verb"] for job in jobs):
+        index = [i for i, job in enumerate(jobs) if job["verb"] == verb]
+        base, change = (statistics.median(statistics.median(r[name][i]["ms"] for r in rounds)
+                                          for i in index) for name in ("base", "change"))
+        lines.append(f"{verb:<20} {base:>10.3f} {change:>10.3f}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -76,6 +102,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dir", required=True, help="directory written by bench/inputs.py")
     parser.add_argument("--base", help="directory holding the base tree's hypersym package")
     parser.add_argument("--change", help="directory holding the changed tree's hypersym package")
+    parser.add_argument("--repeat", type=int, metavar="N",
+                        help="run every job N times on each tree and print per-verb median times")
     parser.add_argument("--run", metavar="SRC", help=argparse.SUPPRESS)
     parser.add_argument("--out", help=argparse.SUPPRESS)
     parser.add_argument("--write-pairs", action="store_true", help=argparse.SUPPRESS)
@@ -90,14 +118,18 @@ def main(argv=None) -> int:
 
     if not (args.base and args.change):
         parser.error("--base and --change are required")
+    if args.repeat is not None and args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    trees = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
+    rounds: list[dict[str, list[dict]]] = []
     with tempfile.TemporaryDirectory() as tmp:
-        sides = []
-        for name, src, write_pairs in (("base", args.base, True), ("change", args.change, False)):
-            out = os.path.join(tmp, f"{name}.json")
-            _child(work, os.path.abspath(src), write_pairs, out)
-            with open(out, encoding="utf-8") as fh:
-                sides.append(json.load(fh))
-    base, change = sides
+        for k in range(args.repeat or 1):
+            # the base tree writes the pairs, so it runs first in the first round
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            out = os.path.join(tmp, "out.json")
+            rounds.append({name: _child(work, trees[name], k == 0 and name == "base", out)
+                           for name in order})
+    base, change = rounds[0]["base"], rounds[0]["change"]
     differ = 0
     for a, b in zip(base, change):
         fields = [f for f in ("code", "stdout", "stderr") if a[f] != b[f]]
@@ -107,6 +139,8 @@ def main(argv=None) -> int:
                   f"(exit {a['code']} -> {b['code']})")
     codes = sorted({r["code"] for r in base})
     print(f"{len(base)} jobs, {differ} differ; base exit codes {codes}")
+    if args.repeat:
+        print("\n".join(_timing_table(rounds)))
     return 1 if differ else 0
 
 
