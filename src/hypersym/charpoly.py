@@ -51,7 +51,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int | str]):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]  # Fractions are immutable
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -557,6 +558,44 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestIngestCollectorPause:
+    """The cyclic collector is off while a document is built, then as it was."""
+
+    def test_state_restored_on_every_exit(self, tmp_path, monkeypatch):
+        seen = []  # the collector's state at the moment the document is built
+        parse = cli.parse_tensor_or_graph
+
+        def build(data):
+            seen.append(gc.isenabled())
+            return parse(data)
+
+        monkeypatch.setattr(cli, "parse_tensor_or_graph", build)
+        good = write_fixture(tmp_path, "order6")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"r": 2, "n": 2, "entries": [{"i": [true, 2], "v": 1}]}')
+        enabled = gc.isenabled()
+        try:
+            gc.enable()
+            assert isinstance(cli._load_input(good), hs.CubicalTensor)
+            assert gc.isenabled()
+            with pytest.raises(cli._UsageError, match="bad input document"):
+                cli._load_input(str(bad))
+            assert gc.isenabled()
+            assert run(tmp_path, "rho", "--input", str(bad)) == (2, None)
+            assert gc.isenabled()
+            gc.disable()
+            assert isinstance(cli._load_input(good), hs.CubicalTensor)
+            assert not gc.isenabled()
+            assert run(tmp_path, "rho", "--input", str(bad)) == (2, None)
+            assert not gc.isenabled()
+        finally:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+        assert seen == [False] * 5
 
 
 class TestSubprocessContract:

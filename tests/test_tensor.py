@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -438,6 +439,10 @@ BAD_INDEX = {
     "bool": lambda i, n: i[:-1] + [True],
     "string": lambda i, n: ["1"] + i[1:],
     "nested": lambda i, n: [[1]] + i[1:],
+    "float": lambda i, n: i[:-1] + [2.0],
+    "false": lambda i, n: [False] + i[1:],
+    "null": lambda i, n: i[:-1] + [None],
+    "huge": lambda i, n: [2**63] + i[1:],
 }
 
 
@@ -490,6 +495,23 @@ class TestJsonIngest:
                 old.to_json_dict())
         else:
             assert new == old
+
+    def test_numpy_integer_index_rejected(self):
+        # the index check is on the exact type: an int64 with __index__ is not an index
+        one, two = np.int64(1), np.int64(2)
+        msg = re.escape(f"index {two!r} out of range 1..2 in {(1, two)!r}")
+        with pytest.raises(ValueError, match=msg):
+            CubicalTensor(2, 2, {(1, two): 1})
+        with pytest.raises(ValueError, match=msg):
+            CubicalTensor(2, 2, [((1, two), 1)])
+        with pytest.raises(ValueError, match=msg):
+            CubicalTensor.from_json_dict({"r": 2, "n": 2, "entries": [{"i": [1, two], "v": 1}]})
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertex {two!r} out of range 1..2 in edge {(1, two)!r}")):
+            hs.Hypergraph(2, 2, [(1, two)])
+        with pytest.raises(ValueError, match=re.escape(
+                f"vertex {one!r} out of range 1..2 in edge {(one, two)!r}")):
+            hs.Hypergraph(2, 2, [np.array([1, 2])])
 
     def test_bool_after_equal_int_rejected(self):
         doc = {"r": 2, "n": 2, "entries": [{"i": [1, 2], "v": 1}, {"i": [2, 1], "v": True}]}

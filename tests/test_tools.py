@@ -63,6 +63,11 @@ def test_repeat_prints_per_verb_median_times(work, tmp_path):
     assert lines[1].split() == ["verb", "base", "ms", "change", "ms"]
     with open(os.path.join(work, "jobs.json"), encoding="utf-8") as fh:
         verbs = {job["argv"][0] for job in json.load(fh)}
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:-1]}
     assert set(rows) == verbs
     assert all(float(ms) > 0 for cells in rows.values() for ms in cells)
+    # the last row sums every job's median, so it is at least any verb's median
+    label, *total = lines[-1].rsplit(maxsplit=2)
+    assert label == "all jobs"
+    for k, tree_ms in enumerate(map(float, total)):
+        assert tree_ms >= max(float(cells[k]) for cells in rows.values())

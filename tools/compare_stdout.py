@@ -14,7 +14,8 @@ With ``--repeat N`` the job list runs N times on each tree, each run in a
 new interpreter; the tree that runs first alternates from round to round.
 Outputs are compared on the first round, and a table gives each verb's
 median job time in ms on each tree, a job's time being its median over the
-rounds:
+rounds.  Its last row, "all jobs", is the sum of every job's time, one pass
+over the job list:
 
     python3 tools/compare_stdout.py --dir DIR --base BASE/src --change src --repeat 5
 
@@ -86,14 +87,21 @@ def _child(work: str, src: str, write_pairs: bool, out: str) -> list[dict]:
 
 
 def _timing_table(rounds: list[dict[str, list[dict]]]) -> list[str]:
-    """Each verb's median job time in ms per tree, a job's time its median over rounds."""
+    """Each verb's median job time in ms per tree, a job's time its median over rounds.
+
+    The last row, "all jobs", sums every job's time: one pass over the job
+    list, the time that the benchmark's jobs per second inverts.
+    """
     lines = [f"{'verb':<20} {'base ms':>10} {'change ms':>10}"]
     jobs = rounds[0]["base"]
+    ms = {name: [statistics.median(r[name][i]["ms"] for r in rounds) for i in range(len(jobs))]
+          for name in ("base", "change")}
     for verb in dict.fromkeys(job["verb"] for job in jobs):
         index = [i for i, job in enumerate(jobs) if job["verb"] == verb]
-        base, change = (statistics.median(statistics.median(r[name][i]["ms"] for r in rounds)
-                                          for i in index) for name in ("base", "change"))
+        base, change = (statistics.median(ms[name][i] for i in index)
+                        for name in ("base", "change"))
         lines.append(f"{verb:<20} {base:>10.3f} {change:>10.3f}")
+    lines.append(f"{'all jobs':<20} {sum(ms['base']):>10.3f} {sum(ms['change']):>10.3f}")
     return lines
 
 
