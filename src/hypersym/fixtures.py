@@ -6,8 +6,6 @@ from .tensor import CubicalTensor
 
 __all__ = ["FIXTURE_NAMES", "fixture"]
 
-FIXTURE_NAMES = ("h2", "a1", "a2", "order6", "prop4-k1", "prop5-k1", "edge-r")
-
 
 def h2() -> CubicalTensor:
     """2x2 symmetric matrix [[1, 1], [1, -1]]: smallest symmetric spectrum."""
@@ -66,22 +64,26 @@ def edge_r(r: int) -> Hypergraph:
     return Hypergraph(r, r, [tuple(range(1, r + 1))])
 
 
+# name -> (builder, whether it takes the uniformity parameter r)
+_BUILDERS = {
+    "h2": (h2, False),
+    "a1": (a1, False),
+    "a2": (a2, False),
+    "order6": (order6, False),
+    "prop4-k1": (prop4_k1, False),
+    "prop5-k1": (prop5_k1, False),
+    "edge-r": (edge_r, True),
+}
+FIXTURE_NAMES = tuple(_BUILDERS)
+
+
 def fixture(name: str, r: int | None = None) -> CubicalTensor | Hypergraph:
     """Build a fixture by name; ``edge-r`` takes the uniformity parameter."""
-    if name == "h2":
-        return h2()
-    if name == "a1":
-        return a1()
-    if name == "a2":
-        return a2()
-    if name == "order6":
-        return order6()
-    if name == "prop4-k1":
-        return prop4_k1()
-    if name == "prop5-k1":
-        return prop5_k1()
-    if name == "edge-r":
-        if r is None:
-            raise ValueError("fixture 'edge-r' needs the r parameter")
-        return edge_r(r)
-    raise ValueError(f"unknown fixture name {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    if name not in FIXTURE_NAMES:
+        raise ValueError(f"unknown fixture name {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    build, takes_r = _BUILDERS[name]
+    if not takes_r:
+        return build()
+    if r is None:
+        raise ValueError(f"fixture {name!r} needs the r parameter")
+    return build(r)

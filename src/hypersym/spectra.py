@@ -114,8 +114,11 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
     x <- normalize((F(x) + s x^[r-1])^[1/(r-1)]) with shift s = 1 + max
     diagonal entry; stops when the min/max eigenvalue bracket is within tol,
     or when it stalls at float precision (as for large spectral radii).
-    A first bracket past the float range reruns on the tensor times 2^-k,
-    whose largest value is near 1; the radius scales back by 2^k exactly.
+    A tensor whose values are all below 1/2, and one whose first bracket
+    is past the float range, run on the tensor times 2^-k, whose largest
+    value is near 1; the radius scales back by 2^k exactly.  (With small
+    values the shift s >= 1 would swamp F(x), and the bracket would narrow
+    too slowly.)
     """
     if not a.is_nonnegative():
         raise ValueError("power iteration requires real nonnegative entries")
@@ -125,6 +128,10 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
             "take per-part spectral radii")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
+    k = largest.numerator.bit_length() - largest.denominator.bit_length()
+    if largest < Fraction(1, 2):  # the shift would swamp F(x): iterate on values near 1
+        return _rescaled_power(a, k, tol, max_iter)
     n, r = a.n, a.r
     p = r - 1
     shift = 1.0 + max((to_float(v.re) for v in a.diagonal()), default=0.0)
@@ -139,11 +146,8 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         lo = float(np.minimum.reduce(ratios)) - shift
         hi = float(np.maximum.reduce(ratios)) - shift
         if not math.isfinite(hi - lo):
-            if it == 0:
-                largest = max(v.re for v in a._arrays[2])
-                k = largest.numerator.bit_length() - largest.denominator.bit_length()
-                if k > 0:
-                    return _rescaled_power(a, k, tol, max_iter)
+            if it == 0 and k > 0:
+                return _rescaled_power(a, k, tol, max_iter)
             raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
                              "in floating point")
         x_new = y ** (1.0 / p)
@@ -169,7 +173,7 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
 def _rescaled_power(a: CubicalTensor, k: int, tol: float, max_iter: int) -> EigenPair:
     """The Perron pair of ``a`` from that of a * 2^-k, certified against ``a``."""
     try:
-        pair = spectral_radius_power(a._scaled(Fraction(1, 2 ** k)),
+        pair = spectral_radius_power(a._scaled(Fraction(2) ** -k),
                                      tol=math.ldexp(tol, -k), max_iter=max_iter)
     except ConvergenceError as exc:
         raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),

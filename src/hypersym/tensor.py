@@ -8,13 +8,16 @@ index rows as one lexicographically sorted int64 array, its distinct
 values, and each row's place among them.  The rows are index tuples, or
 the sorted index multisets of a symmetric tensor stored by orbit, as a
 hypergraph's adjacency tensor is.  Support patterns, symmetry, equality,
-each orbit's exact number of orderings and the float kernel are computed
-from those arrays; one dict of the rows is built only when ``entries`` or
-``entry`` asks for it.  A tensor document's values are interned: each
-distinct raw value is parsed once, and the entries that carry it share
-one immutable ExactComplex, so predicates and float conversions run once
-per distinct value.  Values degrade to floating point only inside
-iterative numerics, which all read one float kernel cached on the tensor.
+each orbit's exact number of orderings, the digraph's arc matrix and the
+float kernel are computed from those arrays; one dict of the rows is built
+only when ``entries`` or ``entry`` asks for it.  Each of these structures
+has one builder: the arc matrix reads the stored rows, and only the float
+kernel expands an orbit into one row per head.  A tensor document's values
+are interned: each distinct raw value is parsed once, and the entries that
+carry it share one immutable ExactComplex, so predicates and float
+conversions run once per distinct value.  Values degrade to floating point
+only inside iterative numerics, which all read one float kernel cached on
+the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -267,20 +270,6 @@ def _check_indices(indices: Iterable[Sequence[int]], r: int, n: int) -> None:
                 raise ValueError(f"index {j!r} out of range 1..{n} in {key}")
 
 
-def _lex_codes(rows: np.ndarray, n: int) -> np.ndarray | None:
-    """One int64 per row of indices in 1..n, in the rows' lexicographic order.
-
-    The code reads a row as digits in base n + 1; None when (n + 1)**r may
-    not fit in an int64.
-    """
-    if len(rows) < 2:  # any codes order fewer than two rows, however wide
-        return rows[:, 0]
-    r = rows.shape[1]
-    if r * n.bit_length() > 63:
-        return None
-    return rows @ ((n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64))
-
-
 def _index_array(r: int, n: int, indices: list, fault=_check_indices) -> np.ndarray:
     """The (m, r) int64 array of m index sequences in 1..n, or ``fault`` names the first bad one."""
     keys = None
@@ -319,13 +308,20 @@ def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = True
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Distinct rows of indices in 1..n, sorted: ``(unique, first, inverse)``.
 
-    Unique row i is ``rows[first[i]]``, and row t is unique row ``inverse[t]`` (if asked for).
+    Unique row i is ``rows[first[i]]``, its first occurrence, and row t is
+    unique row ``inverse[t]`` (if asked for).  Each row compares as one
+    int64, its digits in base n + 1, when (n + 1)**r fits in one; else
+    numpy compares whole rows.
     """
-    code = _lex_codes(rows, n)  # without one, numpy compares whole rows
-    if code is not None and (code[1:] > code[:-1]).all():  # sorted and distinct already
-        first = np.arange(len(rows))
+    m, r = rows.shape
+    narrow = r * n.bit_length() <= 63  # (n + 1)**r fits in an int64
+    code = rows @ ((n + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)) if narrow else rows
+    # sorted and distinct already, as the documents this package writes are;
+    # fewer than two rows are, however wide
+    if m < 2 or narrow and (code[1:] > code[:-1]).all():
+        first = np.arange(m)
         return rows, first, first if return_inverse else None
-    _, first, *inverse = np.unique(rows if code is None else code, axis=0 if code is None else None,
+    _, first, *inverse = np.unique(code, axis=None if narrow else 0,
                                    return_index=True, return_inverse=return_inverse)
     return rows[first], first, inverse[0].reshape(-1) if inverse else None
 
@@ -337,35 +333,23 @@ def _array_storage(keys: np.ndarray, n: int, where,
     Row t of the int64 array ``keys`` is an index row in 1..n (a tuple, or
     a sorted multiset for orbit storage) with the value
     ``values[where[t]]``.  The storage holds the distinct rows in
-    lexicographic order, the values they carry, each object once, and each
-    row's place among those values.  Equal rows are summed in their given
-    order.
+    lexicographic order, as ``_unique_rows`` finds them, the values they
+    carry, each object once, and each row's place among those values.
+    Equal rows sum into one new value, in their given order; exact zeros
+    are pruned.
     """
-    m = len(keys)
-    where = np.array(where, dtype=np.intp)
-    # a stable sort, so that equal tuples are summed in their given order
-    code = _lex_codes(keys, n)
-    if code is None:
-        order = np.lexsort(keys.T[::-1])
-        keys, where = keys[order], where[order]
-        new = (keys[1:] != keys[:-1]).any(axis=1)
-    else:
-        if (code[1:] < code[:-1]).any():  # the documents this package writes are sorted
-            order = np.argsort(code, kind="stable")
-            code, keys, where = code[order], keys[order], where[order]
-        new = code[1:] != code[:-1]
-    values = list(values)
-    if not new.all():
-        starts = np.flatnonzero(np.concatenate(([True], new)))
-        ends = np.append(starts[1:], m)
-        repeated = ends - starts > 1
-        for s, e in zip(starts[repeated].tolist(), ends[repeated].tolist()):
-            total = values[where[s]]
-            for w in where[s + 1:e].tolist():
-                total = total + values[w]
-            where[s] = len(values)
+    given = np.asarray(where, dtype=np.intp)
+    keys, first, inverse = _unique_rows(keys, n)
+    where, values = given[first], list(values)
+    if len(first) < len(given):  # some rows repeat
+        repeated = np.bincount(inverse) > 1
+        totals = dict.fromkeys(np.flatnonzero(repeated).tolist())  # in row order
+        member = repeated[inverse]
+        for u, w in zip(inverse[member].tolist(), given[member].tolist()):
+            totals[u] = values[w] if totals[u] is None else totals[u] + values[w]
+        for u, total in totals.items():
+            where[u] = len(values)
             values.append(total)
-        keys, where = keys[starts], where[starts]
     if not all(values):
         keep = np.fromiter(map(bool, values), dtype=bool, count=len(values))[where]
         keys, where = keys[keep], where[keep]
@@ -434,9 +418,11 @@ class CubicalTensor:
     given tuples.  ``from_orbits`` builds a symmetric tensor from one value
     per index multiset and stores the sorted multisets, with ``_by_orbit``
     set; its read-only ``entries`` expands them when first iterated.  Both
-    forms compare and hash alike.  Derived data (symmetry, support patterns,
-    ordering counts, digraph, the float kernel of F) is computed on first
-    use and kept in ``_cache``, which equality and hashing ignore.
+    forms compare and hash alike.  Every constructor dedupes and sorts the
+    rows through ``_array_storage``, or through ``_unique_rows`` directly.
+    Derived data (symmetry, support patterns, ordering counts, the digraph's
+    arc matrix, the float kernel of F) is computed on first use and kept in
+    ``_cache``, which equality and hashing ignore.
     """
 
     __slots__ = ("r", "n", "_arrays", "_by_orbit", "_cache")
@@ -661,40 +647,32 @@ class CubicalTensor:
         return {idx: full[idx] for idx in sorted(full)}
 
     @_once
-    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index structure of F: ``(heads, tails)``, 0-based.
-
-        Row t adds weight[t] * prod(x[tails[:, t]]) to F(x)[heads[t]], with
-        the weights of ``_kernel``.  Tuple storage has one row per entry.
-        Orbit storage has one row per distinct head k of each orbit, whose
-        tail is the orbit with one k removed.
-        """
-        keys = (self._arrays[0] - 1).astype(np.intp, copy=False)
-        if not self._by_orbit or not len(keys):  # no orbits: no rows either way
-            return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T)
-        starts, _mult = self._pattern_runs()  # the orbits are the patterns
-        source, pos = np.divmod(starts, self.r)
-        cols = np.arange(self.r - 1)[:, None]
-        tails = keys[source, cols + (cols >= pos)]  # each row without its column pos
-        return keys.ravel()[starts], tails
-
-    @_once
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Float COO kernel of F: ``(heads, tails, weights)`` on the rows of ``_rows``.
+        """Float COO kernel of F: ``(heads, tails, weights)``, 0-based.
 
-        A row weighs its value, times for the head k of an orbit its tail's
-        orderings, count * m_k / r: one exact int division per (class, m_k).
+        Row t adds weights[t] * prod(x[tails[:, t]]) to F(x)[heads[t]].
+        Tuple storage has one row per entry, which weighs its value.  Orbit
+        storage has one row per distinct head k of each orbit, whose tail is
+        the orbit with one k removed.  It weighs the orbit's value times its
+        tail's orderings, count * m_k / r: one exact int division per
+        (class, m_k).
         """
-        heads, tails = self._rows()
-        _keys, where, distinct = self._arrays
+        keys, where, distinct = self._arrays
+        keys = (keys - 1).astype(np.intp, copy=False)
         table = np.array(list(map(complex, distinct)), dtype=np.complex128)
         vals = (table.real if self.is_real() else table)[where]
-        if not self._by_orbit or not len(vals):
-            return heads, tails, vals
+        if not self._by_orbit or not len(vals):  # no orbits: no rows either way
+            return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), vals
         r = self.r
-        starts, mult = self._pattern_runs()
+        starts, mult = self._pattern_runs()  # the orbits are the patterns
+        source, pos = np.divmod(starts, r)
+        # each row without its column pos, one tail column at a time, so
+        # that no index array as large as the tails is built
+        flat, row_start = keys.ravel(), starts - pos
+        tails = np.empty((r - 1, len(starts)), dtype=np.intp)
+        for c in range(r - 1):
+            tails[c] = flat[row_start + c + (c >= pos)]
         cls, counts = self._orbit_counts()
-        source = starts // r
         width = int(mult.max()) + 1
         pair = cls[source] * width + mult  # one code per (class, m_k) pair
         present = np.bincount(pair)
@@ -705,14 +683,30 @@ class CubicalTensor:
         except OverflowError:  # the int quotient is past the float range
             raise ValueError(f"F has a coefficient past the float range: a tail of {r - 1} "
                              "indices with more orderings than a float holds") from None
-        return heads, tails, vals[source] * weight[pair]
+        return flat[starts], tails, vals[source] * weight[pair]
 
     @_once
     def _arcs(self) -> np.ndarray:
-        """Arc matrix of the associated digraph: [k, j] is an arc k+1 -> j+1."""
-        heads, tails = self._rows()
-        arcs = np.zeros((self.n, self.n), dtype=bool)
-        arcs[heads, tails] = True
+        """Arc matrix of the associated digraph: [k, j] is an arc k+1 -> j+1.
+
+        Read from the stored rows: a tuple has an arc from its column 0 to
+        each other column, and an orbit from each column to each other one,
+        so a repeated index gives its self-arc.
+        """
+        keys = self._arrays[0] - 1
+        n, r = self.n, self.r
+        arcs = np.zeros((n, n), dtype=bool)
+        if not len(keys):  # no rows, no pairs: no r x r work, however large r
+            return arcs
+        # each row has an arc from its column a[i] to its column b[i]
+        if self._by_orbit:
+            a, b = np.nonzero(~np.eye(r, dtype=bool))
+        else:
+            a, b = np.zeros(r - 1, dtype=np.intp), np.arange(1, r)
+        codes = keys[:, a]
+        codes *= n
+        codes += keys[:, b]
+        arcs.reshape(-1)[codes] = True
         return arcs
 
     # -- JSON -------------------------------------------------------------

@@ -67,6 +67,17 @@ class TestRho:
         code, data = run(tmp_path, "rho", "--input", str(p))
         assert code == 0 and abs(data["lambda"][0] - rho) <= 1e-12 * rho and data["lambda"][1] == 0
 
+    def test_small_radius_exit_0(self, tmp_path):
+        # every value below 1/2: rho runs on the tensor times 2**17, then scales back
+        p = tmp_path / "small.json"
+        p.write_text(json.dumps({"r": 2, "n": 3, "entries": [
+            {"i": [1, 2], "v": 1e-6}, {"i": [2, 1], "v": 1e-6},
+            {"i": [2, 3], "v": 4e-6}, {"i": [3, 2], "v": 4e-6}]}))
+        code, data = run(tmp_path, "rho", "--input", str(p))
+        assert code == 0 and data["kind"] == "H"
+        assert abs(data["lambda"][0] - 17 ** 0.5 * 1e-6) <= 1e-10 and data["lambda"][1] == 0
+        assert data["residual"] <= 1e-10
+
     def test_edge_with_170_factorial_orderings_per_tail(self, tmp_path):
         # one edge of r = 171 vertices: rho = 170!, finite, though 171! is not
         path = write_fixture(tmp_path, "edge-r", r=171)

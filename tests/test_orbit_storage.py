@@ -285,16 +285,19 @@ def test_orbit_arrays_match_dict_oracle(case):
     # one row per distinct head k of each orbit, in orbit order, heads ascending
     rows = [(i, k, key[:key.index(k)] + key[key.index(k) + 1:])
             for i, key in enumerate(keys) for k in sorted(set(key))]
-    heads, tails = a._rows()
+    heads, tails, k_weights = a._kernel()
     assert heads.tolist() == [k - 1 for _, k, _ in rows]
     assert tails.reshape(r - 1, -1).T.tolist() == [[j - 1 for j in tail] for *_, tail in rows]
     real = all(v.is_real for v in expected.values())
     values = [expected[keys[i]] for i, _, _ in rows]
     weights = [float(v.re) if real else complex(v) for v in values]
-    k_heads, k_tails, k_weights = a._kernel()
-    assert k_heads.tolist() == heads.tolist() and k_tails.tolist() == tails.tolist()
     assert k_weights.tolist() == [w * _distinct_orderings(tail)
                                   for w, (*_, tail) in zip(weights, rows)]
+    arcs = np.zeros((n, n), dtype=bool)  # an arc from each row's head to each index of its tail
+    for _, k, tail in rows:
+        for j in tail:
+            arcs[k - 1, j - 1] = True
+    assert np.array_equal(a._arcs(), arcs)
 
     assert a.diagonal() == [expected.get((k,) * r, ExactComplex(0)) for k in range(1, n + 1)]
     assert len(a.entries) == sum(map(_distinct_orderings, keys))

@@ -160,6 +160,20 @@ class TestPowerIteration:
         assert big.lam.real == pytest.approx(small.lam.real * 10**12, rel=1e-12)
         assert big.residual <= 1e-12
 
+    def test_small_values_run_near_1(self):
+        # Values below 1/2 run on the tensor times an exact power of two.  As
+        # given, the shift s >= 1 swamps F(x) = O(1e-6) and the bracket does
+        # not narrow to tol in 100,000 iterations.
+        orbits = {(1, 2): Fraction(1, 10**6), (2, 3): Fraction(4, 10**6)}
+        pair = spectral_radius_power(CubicalTensor.from_orbits(2, 3, orbits), max_iter=1000)
+        assert pair.lam.real == pytest.approx(17 ** 0.5 * 1e-6, abs=1e-10)
+        assert pair.residual <= 1e-10
+        # the pair of the tensor times 2**17, whose largest value is in [1/2, 1), scaled back
+        big = spectral_radius_power(
+            CubicalTensor.from_orbits(2, 3, {k: v * 2**17 for k, v in orbits.items()}),
+            tol=math.ldexp(1e-10, 17))
+        assert pair.lam.real == math.ldexp(big.lam.real, -17) and pair.x == big.x
+
     def test_bracket_held_by_the_graph_is_no_stall(self):
         # A 4 x 4 torus grid and a 7-cycle, one edge of each cut and the ends
         # cross-joined: every degree stays 4 or 2.  From the uniform start the

@@ -466,6 +466,26 @@ def tensor_documents(draw):
     return {"r": r, "n": n, "entries": records}
 
 
+# Index entries that break the rule at any n: no int, an int past int64, or an int below 1.
+ODD_INDICES = [True, False, 1.0, 2.0, None, "1", [1], 2**63, -2**63, np.int64(1), 0, -1]
+
+
+@st.composite
+def index_documents(draw):
+    """Documents whose only faults, if any, are in their index tuples."""
+    r, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    index = st.lists(st.integers(1, n), min_size=r, max_size=r)
+    indices = draw(st.lists(index, max_size=12))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):  # tuples that may break the rule
+        idx = draw(index)
+        for _ in range(draw(st.integers(0, 2))):
+            idx[draw(st.integers(0, r - 1))] = draw(st.one_of(st.sampled_from(ODD_INDICES),
+                                                              st.integers(-1, n + 1)))
+        idx = draw(st.sampled_from([idx, idx, idx, idx[1:], idx + [1]]))
+        indices.insert(draw(st.integers(0, len(indices))), idx)
+    return {"r": r, "n": n, "entries": [{"i": idx, "v": 1} for idx in indices]}
+
+
 def _ingest(read, doc):
     try:
         return read(doc)
@@ -495,6 +515,27 @@ class TestJsonIngest:
                 old.to_json_dict())
         else:
             assert new == old
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(index_documents())
+    def test_index_rule(self, doc):
+        # the rule, computed here: r indices, each an int (not a bool) in 1..n
+        r, n = doc["r"], doc["n"]
+        bad = [tuple(rec["i"]) for rec in doc["entries"] if len(rec["i"]) != r
+               or not all(type(j) is int and 1 <= j <= n for j in rec["i"])]
+        if not bad:
+            assert len(CubicalTensor.from_json_dict(doc).entries) == len(
+                {tuple(rec["i"]) for rec in doc["entries"]})
+            return
+        key = bad[0]
+        if len(key) != r:
+            msg = f"index tuple {key} does not have length r={r}"
+        else:
+            j = next(j for j in key if type(j) is not int or not 1 <= j <= n)
+            msg = f"index {j!r} out of range 1..{n} in {key}"
+        with pytest.raises(ValueError) as exc:
+            CubicalTensor.from_json_dict(doc)
+        assert str(exc.value) == msg
 
     def test_numpy_integer_index_rejected(self):
         # the index check is on the exact type: an int64 with __index__ is not an index
@@ -621,6 +662,10 @@ def _assert_matches_dict_oracle(r, n, records):
     for i, pattern in enumerate(patterns):
         for j in pattern:
             incidence[i, j - 1] += 1
+    arcs = np.zeros((n, n), dtype=bool)  # an arc from each key's head to each index of its tail
+    for idx in keys:
+        for j in idx[1:]:
+            arcs[idx[0] - 1, j - 1] = True
     real = all(im == 0 for _, im in expected.values())
     weights = [float(re) if real else complex(float(re), float(im))
                for re, im in expected.values()]
@@ -636,12 +681,11 @@ def _assert_matches_dict_oracle(r, n, records):
         assert [(idx, (v.re, v.im)) for idx, v in a.entries.items()] == list(expected.items())
         assert a._patterns() == tuple(patterns)
         assert np.array_equal(a._incidence(), incidence)
-        heads, tails = a._rows()
+        heads, tails, k_weights = a._kernel()
         assert heads.tolist() == [idx[0] - 1 for idx in keys]
         assert tails.tolist() == [[idx[c] - 1 for idx in keys] for c in range(1, r)]
-        k_heads, k_tails, k_weights = a._kernel()
-        assert k_heads.tolist() == heads.tolist() and k_tails.tolist() == tails.tolist()
         assert k_weights.tolist() == weights
+        assert np.array_equal(a._arcs(), arcs)
         # the distinct values are exactly the stored ones: none left over from a sum or zero
         assert a.is_real() == real
         assert a.is_nonnegative() == all(im == 0 and re >= 0 for re, im in expected.values())
