@@ -10,14 +10,18 @@ more variables by det(lam I + M0'), where M0' is the principal submatrix
 on the non-reduced monomials (Macaulay's quotient).  The divisor is
 monic, so the division is exact and there are no evaluation nodes.
 
-`shifted_det_coeffs` is the one engine: it reduces an integer matrix
-modulo word-size primes, takes each characteristic polynomial through a
-Hessenberg reduction (numpy, vectorized over the primes) and combines the
-residues by the Chinese remainder theorem once the product of the primes
-exceeds twice a certified bound on every coefficient.  `macaulay_matrix`
-is the one matrix builder; `shifted_resultant_coeffs` joins the two.
+`shifted_det_coeffs` is the one engine: it takes the characteristic
+polynomial of -M modulo word-size primes through a Hessenberg reduction
+and combines the residues by the Chinese remainder theorem once the
+product of the primes exceeds twice a certified bound on every
+coefficient.  It has two kernels for the same reduction and recurrence,
+chosen by the order n of M and the number of primes: a small matrix with
+few primes runs on Python ints, once modulo the product of the primes,
+since there numpy's per-call cost exceeds the arithmetic; the rest run on
+a numpy kernel vectorized over the primes.  `macaulay_matrix` is the one
+matrix builder; `shifted_resultant_coeffs` joins the two.
 
-The engine works in int64 on residues below 2**31.  An elementwise
+The numpy kernel works in int64 on residues below 2**31.  An elementwise
 product of two residues is below 2**62, so a row update needs one
 remainder.  Sums of products go through one helper, `_dot_mod`, which
 splits its small operand at bit 16; its int64 sums stay exact while the
@@ -32,7 +36,8 @@ independent oracle the engine is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -374,6 +379,81 @@ def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
     return out
 
 
+def _charpoly_ints(matrix: Sequence[Sequence[int]], modulus: int) -> list[int] | None:
+    """Ascending coefficients of det(x I + M) mod ``modulus``, on Python ints.
+
+    Runs the reduction of -M to upper Hessenberg form of `_hessenberg_mod`,
+    with its pivot rule, and the recurrence of `_hessenberg_charpolys`, on
+    lists for one modulus.  The modulus may be composite: returns None when
+    a pivot is nonzero but not a unit modulo it, as no prime modulus does.
+    """
+    n = len(matrix)
+    h = [[-v % modulus for v in row] for row in matrix]
+    for j in range(n - 2):
+        # the pivot: the first nonzero entry of column j from row j+1 down
+        col = j + 1
+        for i in range(col, n):
+            if h[i][j]:
+                break
+        else:
+            continue
+        if i != col:
+            h[i], h[col] = h[col], h[i]
+            for row in h:
+                row[i], row[col] = row[col], row[i]
+        pivot = h[col]
+        try:
+            inv = pow(pivot[j], -1, modulus)
+        except ValueError:  # pivot[j] shares a factor with the modulus
+            return None
+        tail = pivot[col:]
+        below, mult = [], []
+        for i in range(col + 1, n):
+            row = h[i]
+            if row[j]:
+                # row_i -= u * row_{j+1}; row_i is zero up to column j after it
+                u = row[j] * inv % modulus
+                h[i] = [0] * col + [(a - u * b) % modulus for a, b in zip(row[col:], tail)]
+                below.append(i)
+                mult.append(u)
+        if below:
+            # column j+1 gains sum_i u_i * column_i, which keeps the similarity
+            for row in h:
+                row[col] = (row[col] + sum(map(mul, mult, map(row.__getitem__, below)))) % modulus
+    polys = [[1]]  # polys[m]: det(x I - h) on the leading m x m block
+    chain: list[int] = []  # chain[i] = s_{i+1} ... s_{m-1}, with s_t = h[t][t-1]
+    for m in range(1, n + 1):
+        if m > 1:
+            s = h[m - 1][m - 2]
+            chain = [c * s % modulus for c in chain]
+        chain.append(1)
+        cur = [0] + polys[-1]
+        for i, c in enumerate(chain):
+            c = h[i][m - 1] * c % modulus
+            if c:
+                for t, v in enumerate(polys[i]):
+                    cur[t] -= c * v
+        polys.append([v % modulus for v in cur])
+    return polys[n]
+
+
+# Matrices of order up to _INT_KERNEL_MAX_ORDER that need at most
+# _INT_KERNEL_MAX_PRIMES primes run on `_charpoly_ints`; the rest on the
+# numpy kernel.  Python's work grows as n^3 and with the size of the
+# modulus, numpy's calls as n.  Timed over the 206 matrices that the
+# exact-charpoly benchmark's seed-7 job list passes to `shifted_det_coeffs`
+# (the per-order table is in CHANGES.md), numpy -> Python ints, ms, best
+# of 7: n <= 10 (163 matrices) 20.6 -> 6.4, n = 12 to 14 (5) 4.0 -> 2.0,
+# n = 15 (27, Macaulay matrices, 2 primes) 14.6 -> 7.0, n = 18 (2) 1.8 ->
+# 2.2, n = 21 (1) 1.1 -> 3.4, n = 30 (1) 2.4 -> 8.3.  Dense random
+# matrices cross earlier: entries in [-4, 4], 2 primes, Python ints take
+# 0.66x numpy's time at n = 10, 0.87x at 12 and 1.76x at 15.  More primes
+# widen the gap: at n = 15, 7 primes 1.65x, 16 primes 2.7x, 31 primes 4.2x;
+# at n = 8, dense, 4 primes 0.55x and 9 primes 1.01x, hence the prime bound.
+_INT_KERNEL_MAX_ORDER = 15
+_INT_KERNEL_MAX_PRIMES = 8
+
+
 # Most int64 entries in one batch of per-prime matrices.  At 128 KB an array
 # and its temporaries stay small; batches of 512 KB raised the peak RSS of
 # the exact-charpoly benchmark's job list by about 1 MB.
@@ -381,11 +461,28 @@ _BATCH_ENTRIES = 1 << 14
 
 
 def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Ascending integer coefficients of det(x I + M) for a square integer matrix M."""
+    """Ascending integer coefficients of det(x I + M) for a square integer matrix M.
+
+    The primes' product exceeds twice the coefficient bound, so each
+    coefficient is the residue of least absolute value.  Up to order
+    `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes the
+    Python-int kernel reduces M once modulo that product, or one prime at
+    a time when a pivot vanishes modulo some primes only; other matrices
+    take the numpy kernel over batches of primes.  `_crt` combines the
+    residues of each prime.
+    """
     n = len(matrix)
     if n == 0:
         return [1]
     primes = _primes_above(2 * _coefficient_bound(matrix))
+    if n <= _INT_KERNEL_MAX_ORDER and len(primes) <= _INT_KERNEL_MAX_PRIMES:
+        modulus = prod(primes)
+        coeffs = _charpoly_ints(matrix, modulus)
+        if coeffs is None:  # a pivot vanished modulo some of the primes: one at a time
+            return _crt(np.array([_charpoly_ints(matrix, p) for p in primes], dtype=np.int64),
+                        primes)
+        half = modulus // 2
+        return [c - modulus if c > half else c for c in coeffs]
     step = max(1, _BATCH_ENTRIES // (n * n))
     residues = []
     for lo in range(0, len(primes), step):

@@ -105,7 +105,6 @@ def _r_norm(x: np.ndarray, r: int) -> np.floating:
 _STALL_ITERATIONS, _STALL_STEP = 3, 2.0 ** 10 * float(np.finfo(float).eps)
 
 
-@np.errstate(over="ignore")  # an overflow leaves a bracket or a norm that is not finite: see below
 def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
                           max_iter: int = 100_000) -> EigenPair:
     """Spectral radius and positive eigenvector of a nonnegative tensor.
@@ -126,6 +125,12 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         raise ValueError(
             "tensor is weakly reducible; decompose it with components() and "
             "take per-part spectral radii")
+    return _power(a, tol, max_iter)
+
+
+@np.errstate(over="ignore")  # an overflow leaves a bracket or a norm that is not finite: see below
+def _power(a: CubicalTensor, tol: float, max_iter: int) -> EigenPair:
+    """`spectral_radius_power` on a tensor that passed its structure checks."""
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
@@ -171,10 +176,13 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
 
 @np.errstate(over="ignore")  # a radius past the float range scales back to inf: see below
 def _rescaled_power(a: CubicalTensor, k: int, tol: float, max_iter: int) -> EigenPair:
-    """The Perron pair of ``a`` from that of a * 2^-k, certified against ``a``."""
+    """The Perron pair of ``a`` from that of a * 2^-k, certified against ``a``.
+
+    Scaling by a positive factor keeps the index rows and the signs, so the
+    scaled tensor skips the structure checks that ``a`` passed.
+    """
     try:
-        pair = spectral_radius_power(a._scaled(Fraction(2) ** -k),
-                                     tol=math.ldexp(tol, -k), max_iter=max_iter)
+        pair = _power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
     except ConvergenceError as exc:
         raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
                                exc.iterations) from None

@@ -406,6 +406,13 @@ def _parse_interned(objs: list) -> tuple[list[ExactComplex], np.ndarray]:
     return values, np.fromiter(map(place.__getitem__, keys), dtype=np.intp, count=len(keys))
 
 
+# Most column pairs that one scatter of `_arcs` gathers: its two transient
+# int64 arrays stay at 512 KB each, where one m x r(r-1) scatter on the
+# 191,268 8-edges of gen_prop5_graph(2, 12, 12, 8) took 86 MB each.  The
+# largest benchmark graph has 30,054 pairs, so it still takes one scatter.
+_ARC_CHUNK = 1 << 16
+
+
 class CubicalTensor:
     """Order-``n`` hypermatrix with ``r`` indices, stored sparsely.
 
@@ -691,9 +698,10 @@ class CubicalTensor:
 
         Read from the stored rows: a tuple has an arc from its column 0 to
         each other column, and an orbit from each column to each other one,
-        so a repeated index gives its self-arc.
+        so a repeated index gives its self-arc.  The arcs are written in
+        chunks of rows, each of at most `_ARC_CHUNK` column pairs.
         """
-        keys = self._arrays[0] - 1
+        keys = self._arrays[0]
         n, r = self.n, self.r
         arcs = np.zeros((n, n), dtype=bool)
         if not len(keys):  # no rows, no pairs: no r x r work, however large r
@@ -703,10 +711,15 @@ class CubicalTensor:
             a, b = np.nonzero(~np.eye(r, dtype=bool))
         else:
             a, b = np.zeros(r - 1, dtype=np.intp), np.arange(1, r)
-        codes = keys[:, a]
-        codes *= n
-        codes += keys[:, b]
-        arcs.reshape(-1)[codes] = True
+        flat = arcs.reshape(-1)
+        step = max(1, _ARC_CHUNK // len(a))
+        for lo in range(0, len(keys), step):
+            chunk = keys[lo:lo + step]
+            codes = chunk[:, a]
+            codes *= n
+            codes += chunk[:, b]
+            codes -= n + 1  # 1-based indices to the 0-based code k * n + j
+            flat[codes] = True
         return arcs
 
     # -- JSON -------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +31,14 @@ from hypersym import (
 
 from hypersym.charpoly import _cleared, _scaled
 from hypersym.resultants import (
+    _INT_KERNEL_MAX_ORDER,
+    _INT_KERNEL_MAX_PRIMES,
     DegenerateNode,
+    _charpoly_ints,
+    _coefficient_bound,
+    _hessenberg_charpolys,
+    _hessenberg_mod,
+    _negated_residues,
     _primes_above,
     det_fractions,
     interpolate,
@@ -479,6 +487,24 @@ def oracle_resultant(a: CubicalTensor, lam: int) -> Fraction:
     return macaulay_resultant_3(forms, d)
 
 
+SMALL_PRIMES = [2, 3, 5, 7, 65537]
+
+
+def assert_kernels_agree(matrix: list[list[int]], primes: list[int]) -> None:
+    """The numpy kernel, run directly, and the Python-int kernel give one residue table.
+
+    The Python-int kernel runs once per prime, and once modulo the product
+    of the primes unless a pivot shares a factor with it.
+    """
+    h = _negated_residues(matrix, primes)
+    _hessenberg_mod(h, primes)
+    want = _hessenberg_charpolys(h, primes).tolist()
+    assert [_charpoly_ints(matrix, p) for p in primes] == want
+    combined = _charpoly_ints(matrix, prod(primes))
+    if combined is not None:
+        assert [[c % p for c in combined] for p in primes] == want
+
+
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -568,6 +594,52 @@ class TestEngine:
                 shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)]
                            for i in range(n)]
                 assert p(Fraction(lam)) == det_fractions(shifted)
+            # the engine picks one kernel by size; both must give its residues
+            # (two of its primes at n > 40, where a prime takes 0.2 s in Python)
+            primes = _primes_above(2 * _coefficient_bound(m))
+            assert_kernels_agree(m, primes if n <= 40 else primes[:2])
+        # the product of the primes sees the pivot q * q2 and hands over to one
+        # prime at a time
+        assert _charpoly_ints(three, prod(_primes_above(2**200))) is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32),
+           primes=st.lists(st.sampled_from(SMALL_PRIMES + _primes_above(2**62)),
+                           min_size=1, max_size=4, unique=True),
+           kind=st.sampled_from(["small", "multiples", "zero columns", "ones", "huge"]))
+    def test_kernels_give_the_same_residues(self, n, seed, primes, kind):
+        rng = random.Random(seed)
+        q = rng.choice(primes)
+        if kind == "ones":
+            m = [[1] * n for _ in range(n)]
+        elif kind == "huge":
+            m = [[rng.choice((1, -1)) * rng.randint(0, 2**70) for _ in range(n)] for _ in range(n)]
+        elif kind == "multiples":
+            m = [[q * rng.randint(-3, 3) if rng.random() < 0.5 else rng.randint(-2, 2)
+                  for _ in range(n)] for _ in range(n)]
+        else:
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if kind == "zero columns":
+                for j in rng.sample(range(n), rng.randint(1, n)):
+                    for row in m:
+                        row[j] = 0
+        assert_kernels_agree(m, primes)
+
+    # at and past the order bound, then at and past the prime-count bound
+    @pytest.mark.parametrize("n, bits, int_kernel", [
+        (_INT_KERNEL_MAX_ORDER, 3, True), (_INT_KERNEL_MAX_ORDER + 1, 3, False),
+        (6, 38, True), (6, 43, False)])
+    def test_both_sides_of_the_kernel_crossover(self, n, bits, int_kernel):
+        rng = random.Random(bits)
+        m = [[rng.randint(-2**bits, 2**bits) if rng.random() < 0.5 else 0 for _ in range(n)]
+             for _ in range(n)]
+        primes = _primes_above(2 * _coefficient_bound(m))
+        assert (n <= _INT_KERNEL_MAX_ORDER and len(primes) <= _INT_KERNEL_MAX_PRIMES) == int_kernel
+        p = UniPoly(shifted_det_coeffs(m))
+        assert p.degree == n and p.is_monic()
+        for lam in (-3, 0, 1):
+            shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(lam)) == det_fractions(shifted)
 
     def test_empty_matrix(self):
         assert shifted_det_coeffs([]) == [1]

@@ -37,7 +37,7 @@ from hypersym import (
     odd_transversal,
     polynomial_form,
 )
-from hypersym.tensor import _orderings
+from hypersym.tensor import _ARC_CHUNK, _orderings
 
 PROPERTY = settings(
     max_examples=60,
@@ -350,3 +350,25 @@ def test_expansion_walks_orderings_not_r_factorial_permutations():
     items = list(a.entries.items())
     assert time.perf_counter() - start < 1.0
     assert len(items) == len(set(items)) == len(a.entries) == 132
+
+
+@pytest.mark.parametrize("r, n, rows", [(2, 400, 100_000), (4, 60, 50_000)])
+@pytest.mark.parametrize("by_orbit", [True, False])
+def test_arcs_span_several_chunks(by_orbit, r, n, rows):
+    # Both storages span several chunks of `_ARC_CHUNK` column pairs, the
+    # last one partial.  At r = 2 nearly every arc comes from one row only,
+    # so a row that a chunk skips shows; r = 4 has several pairs a row.
+    rng = np.random.default_rng(11)
+    keys = np.unique(rng.integers(1, n + 1, size=(rows, r)), axis=0)
+    if by_orbit:
+        keys = np.unique(np.sort(keys, axis=1), axis=0)
+        a = CubicalTensor.from_orbits(r, n, [(tuple(k), 1) for k in keys.tolist()])
+        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+    else:
+        a = CubicalTensor(r, n, [(tuple(k), 1) for k in keys.tolist()])
+        pairs = [(0, j) for j in range(1, r)]
+    assert len(keys) * len(pairs) > _ARC_CHUNK
+    arcs = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        arcs[keys[:, i] - 1, keys[:, j] - 1] = True
+    assert np.array_equal(a._arcs(), arcs)

@@ -174,6 +174,22 @@ class TestPowerIteration:
             tol=math.ldexp(1e-10, 17))
         assert pair.lam.real == math.ldexp(big.lam.real, -17) and pair.x == big.x
 
+    def test_small_values_build_the_arc_matrix_once(self, monkeypatch):
+        # the tensor times 2^-k has the same index rows and signs, so the
+        # rescaled run repeats neither structure check
+        builds = []
+        arcs = CubicalTensor._arcs
+
+        def counted(self):
+            if "_arcs" not in self._cache:
+                builds.append(self)
+            return arcs(self)
+
+        monkeypatch.setattr(CubicalTensor, "_arcs", counted)
+        orbits = {(1, 2): Fraction(1, 10**6), (2, 3): Fraction(4, 10**6)}
+        spectral_radius_power(CubicalTensor.from_orbits(2, 3, orbits), max_iter=1000)
+        assert len(builds) == 1
+
     def test_bracket_held_by_the_graph_is_no_stall(self):
         # A 4 x 4 torus grid and a 7-cycle, one edge of each cut and the ends
         # cross-joined: every degree stays 4 or 2.  From the uniform start the

@@ -71,3 +71,30 @@ def test_repeat_prints_per_verb_median_times(work, tmp_path):
     assert label == "all jobs"
     for k, tree_ms in enumerate(map(float, total)):
         assert tree_ms >= max(float(cells[k]) for cells in rows.values())
+
+
+def test_each_tree_is_warmed_before_its_timed_pass(work, tmp_path):
+    # a copy of the package whose CLI logs every call: the change tree runs
+    # one job per verb on its smallest input, then the whole job list
+    shutil.copytree(os.path.join(SRC, "hypersym"), tmp_path / "hypersym",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "hypersym" / "cli.py"
+    log = tmp_path / "calls.log"
+    text = cli.read_text()
+    head = "def main(argv: list[str] | None = None) -> int:\n"
+    assert head in text
+    record = f"    with open({str(log)!r}, 'a') as fh: fh.write(' '.join(argv) + '\\n')\n"
+    cli.write_text(text.replace(head, head + record))
+    proc = _compare(work, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(work, "jobs.json"), encoding="utf-8") as fh:
+        jobs = json.load(fh)
+    argvs = [" ".join(os.path.join(work, a) if a.endswith(".json") else a for a in job["argv"])
+             for job in jobs]
+    size = [sum(os.path.getsize(os.path.join(work, a)) for a in job["argv"] if a.endswith(".json"))
+            for job in jobs]
+    smallest = {}
+    for i, job in enumerate(jobs):
+        if job["verb"] not in smallest or size[i] < size[smallest[job["verb"]]]:
+            smallest[job["verb"]] = i
+    assert log.read_text().splitlines() == [argvs[i] for i in smallest.values()] + argvs

@@ -11,7 +11,8 @@ both trees verify the same pair.
     python3 tools/compare_stdout.py --dir DIR --base BASE/src --change src
 
 With ``--repeat N`` the job list runs N times on each tree, each run in a
-new interpreter; the tree that runs first alternates from round to round.
+new interpreter after one untimed job per verb, as in ``bench/worker.py``;
+the tree that runs first alternates from round to round.
 Outputs are compared on the first round, and a table gives each verb's
 median job time in ms on each tree, a job's time being its median over the
 rounds.  Its last row, "all jobs", is the sum of every job's time, one pass
@@ -67,6 +68,15 @@ def run_tree(work: str, src: str, write_pairs: bool) -> list[dict]:
                 _, data, _ = _run(hypersym.cli.main, argvs[by_id[job["pair_from"]]])
                 with open(os.path.join(work, job["pair"]), "wb") as fh:
                     fh.write(data)
+    # As in bench/worker.py, one untimed job per verb, on its smallest input,
+    # so that first-call costs (lazy imports, numpy set-up) stay out of the times.
+    size = [sum(os.path.getsize(a) for a in argv if a.endswith(".json")) for argv in argvs]
+    smallest: dict[str, int] = {}
+    for i, job in enumerate(jobs):
+        if job["verb"] not in smallest or size[i] < size[smallest[job["verb"]]]:
+            smallest[job["verb"]] = i
+    for i in smallest.values():
+        _run(hypersym.cli.main, argvs[i])
     results = []
     for job, argv in zip(jobs, argvs):
         start = time.perf_counter()
