@@ -55,7 +55,7 @@ class Hypergraph(CubicalTensor):
         return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self._arrays[0])})"
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return int(np.count_nonzero(self._arrays[0] == v))
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "n": self.n, "edges": self._arrays[0].tolist()}
@@ -191,7 +191,9 @@ def chromatic_number(g: Hypergraph, max_k: int,
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    order = sorted(range(1, g.n + 1), key=lambda v: (-g.degree(v), v))
+    # an edge's vertices are distinct, so a vertex's count in the rows is its degree
+    degrees = np.bincount(g._arrays[0].ravel(), minlength=g.n + 1).tolist()
+    order = sorted(range(1, g.n + 1), key=lambda v: (-degrees[v], v))
     edge_lists = [list(e) for e in g.edges]
     incident: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
     for ei, e in enumerate(edge_lists):
@@ -233,24 +235,34 @@ def _search_weak_coloring(g, k, order, edge_lists, incident, budget):
         for ei in became_mixed:
             mixed[ei] = False
 
-    def extend(pos: int, max_used: int) -> bool:
-        if pos == len(order):
-            return True
-        if budget[0] <= 0:
-            raise SearchBudgetExceeded(
-                f"weak-coloring search exhausted its node budget at k={k}")
-        budget[0] -= 1
-        v = order[pos]
-        for c in range(1, min(k, max_used + 1) + 1):
+    # an explicit stack, one frame per placed vertex of ``order``: the
+    # max_used before it, its color and the edges it made mixed.  Colors are
+    # tried in the order, and nodes charged to the budget, of a depth-first
+    # recursion, which would overflow the call stack on a long ``order``.
+    stack: list[tuple[int, int, list[int]]] = []
+    max_used, c = 0, 0  # c: the last color tried at position len(stack), 0 on entry
+    while True:
+        if c == 0:
+            if len(stack) == len(order):
+                return tuple(color[1:])
+            if budget[0] <= 0:
+                raise SearchBudgetExceeded(
+                    f"weak-coloring search exhausted its node budget at k={k}")
+            budget[0] -= 1
+        v = order[len(stack)]
+        while c < min(k, max_used + 1):
+            c += 1
             ok, became_mixed = place(v, c)
             if ok:
                 color[v] = c
-                if extend(pos + 1, max(max_used, c)):
-                    return True
-                color[v] = 0
+                stack.append((max_used, c, became_mixed))
+                max_used, c = max(max_used, c), 0
+                break
             unplace(v, became_mixed)
-        return False
-
-    if extend(0, 0):
-        return tuple(color[1:])
-    return None
+        else:  # every color failed here: undo the vertex before
+            if not stack:
+                return None
+            max_used, c, became_mixed = stack.pop()
+            v = order[len(stack)]
+            color[v] = 0
+            unplace(v, became_mixed)

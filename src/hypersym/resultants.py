@@ -454,10 +454,22 @@ _INT_KERNEL_MAX_ORDER = 15
 _INT_KERNEL_MAX_PRIMES = 8
 
 
-# Most int64 entries in one batch of per-prime matrices.  At 128 KB an array
-# and its temporaries stay small; batches of 512 KB raised the peak RSS of
-# the exact-charpoly benchmark's job list by about 1 MB.
-_BATCH_ENTRIES = 1 << 14
+# Most int64 entries in one batch of per-prime matrices, 1 MiB an array.
+# Every numpy-kernel matrix of the exact-charpoly benchmark (n = 18 to 66,
+# at most 10 primes, 43,560 residues) runs all its primes in one batch, as
+# would an order-66 Macaulay matrix with 30 primes, so each Hessenberg
+# column costs one set of numpy calls, not one per batch.  Larger matrices
+# run batch by batch.  Best of 5 in ms, and the tracemalloc peak of
+# `shifted_det_coeffs` in MiB: the 11 numpy-kernel matrices of the
+# benchmark's seed-7 job list, then dense matrices with entries in [-6, 6]
+# (10, 17, 21 and 42 primes):
+#   cap      seed 7   n = 60       n = 96       n = 120      n = 220
+#   2**14    56.3     17.5, 0.33   118.1, 0.28  232.5, 0.37  1944, 1.18
+#   2**16    46.4     12.5, 0.66    74.7, 1.12  165.2, 1.02  1971, 1.18
+#   2**17    45.4     13.3, 0.66    73.6, 2.10  157.0, 2.12  1988, 1.92
+#   2**19    44.0     13.2, 0.66    67.1, 2.53  152.6, 4.83  1845, 7.83
+# Past 2**17 the time gains little and the peak grows with the cap.
+_BATCH_ENTRIES = 1 << 17
 
 
 def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
@@ -467,9 +479,10 @@ def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
     coefficient is the residue of least absolute value.  Up to order
     `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes the
     Python-int kernel reduces M once modulo that product, or one prime at
-    a time when a pivot vanishes modulo some primes only; other matrices
-    take the numpy kernel over batches of primes.  `_crt` combines the
-    residues of each prime.
+    a time when a pivot vanishes modulo some primes only.  Other matrices
+    take the numpy kernel, all their primes in one batch up to
+    `_BATCH_ENTRIES` residues, else in batches of at most that many.
+    `_crt` combines the residues of each prime.
     """
     n = len(matrix)
     if n == 0:
@@ -484,13 +497,15 @@ def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
         half = modulus // 2
         return [c - modulus if c > half else c for c in coeffs]
     step = max(1, _BATCH_ENTRIES // (n * n))
-    residues = []
+    # one row per prime, filled batch by batch: no batch's polynomial table
+    # outlives its batch
+    residues = np.empty((len(primes), n + 1), dtype=np.int64)
     for lo in range(0, len(primes), step):
         batch = primes[lo:lo + step]
         h = _negated_residues(matrix, batch)
         _hessenberg_mod(h, batch)
-        residues.append(_hessenberg_charpolys(h, batch))
-    return _crt(np.concatenate(residues), primes)
+        residues[lo:lo + step] = _hessenberg_charpolys(h, batch)
+    return _crt(residues, primes)
 
 
 def _exact_quotient(num: list[int], den: list[int]) -> list[int]:

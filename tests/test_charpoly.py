@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -29,6 +30,7 @@ from hypersym import (
     verify_component_product,
 )
 
+from hypersym import resultants
 from hypersym.charpoly import _cleared, _scaled
 from hypersym.resultants import (
     _INT_KERNEL_MAX_ORDER,
@@ -505,6 +507,29 @@ def assert_kernels_agree(matrix: list[list[int]], primes: list[int]) -> None:
         assert [[c % p for c in combined] for p in primes] == want
 
 
+def three_pivot_groups(rng: random.Random) -> list[list[int]]:
+    """A 6 x 6 matrix whose first pivot is row 3 modulo the largest word prime q,
+    row 2 modulo the next one q2 and row 1 modulo every other prime: three pivot
+    groups, and q's pivot row is zero modulo q2."""
+    q, q2 = _primes_above(2**31)
+    m = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
+    for i, v in ((1, q * q2), (2, q), (3, q2)):
+        m[i][0] = v
+    return m
+
+
+def record_batches(monkeypatch) -> list[tuple[int, int]]:
+    """(primes, n) of every batch that the numpy kernel runs from now on."""
+    batches = []
+
+    def recorded(h, primes):
+        batches.append(h.shape[:2])
+        return _hessenberg_charpolys(h, primes)
+
+    monkeypatch.setattr(resultants, "_hessenberg_charpolys", recorded)
+    return batches
+
+
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -568,12 +593,7 @@ class TestEngine:
         rng = random.Random(5)
         inputs = [[[q * rng.randint(1, 3) if rng.random() < 0.5 else rng.randint(-2, 2)
                     for _ in range(n)] for _ in range(n)] for n in (3, 5, 8)]
-        # at the first step the pivot is row 3 modulo q, row 2 modulo q2 and
-        # row 1 modulo every other prime: three pivot groups, and q's pivot
-        # row is zero modulo q2
-        three = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
-        for i, v in ((1, q * q2), (2, q), (3, q2)):
-            three[i][0] = v
+        three = three_pivot_groups(rng)
         # only q2, not the first prime, moves its pivot
         second = [[rng.randint(-2**40, 2**40) for _ in range(6)] for _ in range(6)]
         second[1][0], second[2][0] = q2, 1
@@ -582,7 +602,7 @@ class TestEngine:
         agree[1][0], agree[2][0] = 0, 1
         # all-ones: every residue of -M is p - 1, the largest operands there are
         ones = [[1] * 40 for _ in range(40)]
-        # from n = 91 on, each batch holds one prime
+        # two large sparse matrices; their primes fit one batch
         sparse = [[rng.choice((-3, -1, 0, 0, 0, 0, 1, 2)) for _ in range(n)] for n in (91, 96)
                   for _ in range(n)]
         inputs += [three, second, agree, ones, sparse[:91], sparse[91:]]
@@ -643,3 +663,52 @@ class TestEngine:
 
     def test_empty_matrix(self):
         assert shifted_det_coeffs([]) == [1]
+
+    @pytest.mark.parametrize("name", ["three pivot groups", "sparse"])
+    def test_batch_split_changes_nothing(self, monkeypatch, name):
+        rng = random.Random(7)
+        if name == "sparse":
+            m = [[rng.choice((-3, -1, 0, 0, 0, 0, 1, 2)) for _ in range(40)] for _ in range(40)]
+        else:
+            m = three_pivot_groups(rng)
+        n = len(m)
+        k = len(_primes_above(2 * _coefficient_bound(m)))
+        assert k >= 3 and (n > _INT_KERNEL_MAX_ORDER or k > _INT_KERNEL_MAX_PRIMES)
+        batches = record_batches(monkeypatch)
+        got = []
+        # one prime a batch, a short last batch, one batch
+        for sizes in ([1] * k, [k // 2 + 1, k - k // 2 - 1], [k]):
+            monkeypatch.setattr(resultants, "_BATCH_ENTRIES", sizes[0] * n * n)
+            batches.clear()
+            got.append(shifted_det_coeffs(m))
+            assert batches == [(size, n) for size in sizes]
+        assert got[0] == got[1] == got[2]
+        p = UniPoly(got[0])
+        for lam in (-1, 2):
+            shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(lam)) == det_fractions(shifted)
+
+    def test_batches_do_not_pin_their_tables(self, monkeypatch):
+        # one prime a batch: each batch's (1, n + 1, n + 1) polynomial table
+        # must be freed before the next batch runs, not kept until the CRT
+        rng = random.Random(11)
+        n = 96
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        assert len(_primes_above(2 * _coefficient_bound(m))) == 17
+        monkeypatch.setattr(resultants, "_BATCH_ENTRIES", n * n)
+        tracemalloc.start()
+        try:
+            shifted_det_coeffs(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the residues and temporaries of one batch come to about 4 tables;
+        # the 17 tables kept alive would be more than 17
+        assert peak < 6 * 8 * (n + 1) ** 2
+
+    def test_contract_matrices_run_in_one_batch(self, rng, monkeypatch):
+        batches = record_batches(monkeypatch)
+        # r = 5 at n = 3, the largest Macaulay matrix of the contract: order 66
+        charpoly_tensor(random_tensor(rng, 3, 5, density=0.8, lo=-3, hi=3))
+        orders = [n for _, n in batches]
+        assert 66 in orders and len(orders) == len(set(orders))

@@ -29,6 +29,38 @@ from hypersym import (
 from conftest import random_hypergraph
 
 
+def recursive_chromatic_number(g: Hypergraph, max_k: int, node_budget: int):
+    """The depth-first recursion that `chromatic_number` runs with an explicit stack.
+
+    Same vertex order, symmetry breaking and one budget unit per node, so
+    the two give the same answer and run out of budget at the same node.
+    """
+    order = sorted(range(1, g.n + 1), key=lambda v: (-sum(v in e for e in g.edges), v))
+    budget = node_budget
+    for k in range(1, max_k + 1):
+        color = [0] * (g.n + 1)  # 0 = unassigned
+
+        def extend(pos: int, max_used: int) -> bool:
+            nonlocal budget
+            if pos == len(order):
+                return True
+            if budget <= 0:
+                raise SearchBudgetExceeded
+            budget -= 1
+            v = order[pos]
+            for c in range(1, min(k, max_used + 1) + 1):
+                color[v] = c
+                if all(0 in {color[u] for u in e} or len({color[u] for u in e}) > 1
+                       for e in g.edges if v in e) and extend(pos + 1, max(max_used, c)):
+                    return True
+                color[v] = 0
+            return False
+
+        if extend(0, 0):
+            return WeakColoring(k=k, assignment=tuple(color[1:]))
+    return None
+
+
 def assert_weak_coloring_proper(g: Hypergraph, w: WeakColoring) -> None:
     assert len(w.assignment) == g.n
     assert all(1 <= c <= w.k for c in w.assignment)
@@ -84,6 +116,14 @@ class TestHypergraph:
     def test_degree(self):
         g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
         assert [g.degree(v) for v in (1, 2, 3, 4)] == [1, 2, 2, 1]
+
+    def test_degree_counts_the_edge_tuples(self, rng):
+        graphs = [gen_prop5_graph(1, 6, 6, 4)[0], Hypergraph(3, 5, [])]
+        graphs += [random_hypergraph(rng, rng.randint(3, 9), rng.randint(2, 4), density=0.4)
+                   for _ in range(10)]
+        for g in graphs:
+            assert [g.degree(v) for v in range(1, g.n + 1)] == [
+                sum(1 for e in g.edges if v in e) for v in range(1, g.n + 1)]
 
     def test_json_round_trip(self):
         g = Hypergraph(4, 6, [(1, 2, 3, 4), (3, 4, 5, 6)])
@@ -227,3 +267,25 @@ class TestChromaticNumber:
             assert w.k <= greedy
             if g.edges:
                 assert (w.k == 2) == nx.is_bipartite(gx)
+
+    def test_matches_the_recursive_search_budget_by_budget(self, rng):
+        for _ in range(12):
+            g = random_hypergraph(rng, rng.randint(3, 8), rng.choice((2, 2, 3)),
+                                  density=rng.choice((0.3, 0.6, 0.9)))
+            for budget in [*range(0, 40, 3), 10_000_000]:
+                results = []
+                for search in (chromatic_number, recursive_chromatic_number):
+                    try:
+                        results.append(search(g, 4, node_budget=budget))
+                    except SearchBudgetExceeded:
+                        results.append("budget exceeded")
+                assert results[0] == results[1], (g.edges, budget)
+
+    def test_long_path_does_not_overflow_the_stack(self):
+        # one frame per vertex would pass Python's default recursion limit of 1,000
+        n = 1500
+        g = Hypergraph(2, n, [(v, v + 1) for v in range(1, n)])
+        w = chromatic_number(g, 3)
+        assert w is not None and w.k == 2
+        assert w.assignment == tuple(1 if v % 2 == 0 else 2 for v in range(1, n + 1))
+        assert_weak_coloring_proper(g, w)
