@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import CubicalTensor, components, is_symmetric, is_weakly_irreducible
+from .tensor import CubicalTensor, components, is_symmetric
 
 __all__ = [
     "UniPoly", "charpoly_2matrix", "charpoly_tensor",
@@ -339,12 +339,14 @@ def verify_component_product(a: CubicalTensor) -> ProductReport:
     """
     if not is_symmetric(a):
         raise ValueError("component product is defined for symmetric tensors")
-    if is_weakly_irreducible(a):
+    # a symmetric tensor is weakly irreducible iff it is connected: one part
+    parts = components(a).parts
+    if len(parts) == 1:
         raise ValueError("tensor is weakly irreducible: nothing to verify")
     lhs = charpoly_tensor(a)
     rhs = UniPoly([1])
     factors = []
-    for vertices, sub in components(a).parts:
+    for vertices, sub in parts:
         poly = charpoly_tensor(sub)
         expo = (a.r - 1) ** (a.n - len(vertices))
         factors.append((vertices, poly, expo))
@@ -407,7 +409,8 @@ def isolated_vertex_multiplicity_check(obj) -> MultiplicityReport:
         raise ValueError(
             f"base order must be n <= 2 so the enlarged tensor stays at "
             f"n <= 3, got n={n}")
-    enlarged = CubicalTensor(r, n + 1, list(obj.entries.items()))
+    # the same rows on n + 1 vertices: the last one is isolated
+    enlarged = CubicalTensor._stored(r, n + 1, obj._arrays, obj._by_orbit)
     base = charpoly_tensor(obj)
     actual = charpoly_tensor(enlarged)
 

@@ -67,11 +67,18 @@ def _load_input(path: str):
             gc.enable()
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = dumps_canonical(payload)
     if output and output != "-":
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(output, text)
     else:
         sys.stdout.write(text)
 
@@ -265,8 +272,7 @@ def _run_gen(args) -> None:
             raise _UsageError("the prop5 family needs --size-c")
         g, phi = gen_prop5_graph(args.k, args.size_a, args.size_b, args.size_c)
     if args.witness_output:
-        with open(args.witness_output, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(phi.to_json_dict()))
+        _write_file(args.witness_output, dumps_canonical(phi.to_json_dict()))
     _emit(g.to_json_dict(), args.output)
 
 

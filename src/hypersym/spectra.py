@@ -109,15 +109,15 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
                           max_iter: int = 100_000) -> EigenPair:
     """Spectral radius and positive eigenvector of a nonnegative tensor.
 
-    Requires real nonnegative entries and weak irreducibility.  Iterates
-    x <- normalize((F(x) + s x^[r-1])^[1/(r-1)]) with shift s = 1 + max
-    diagonal entry; stops when the min/max eigenvalue bracket is within tol,
-    or when it stalls at float precision (as for large spectral radii).
-    A tensor whose values are all below 1/2, and one whose first bracket
-    is past the float range, run on the tensor times 2^-k, whose largest
-    value is near 1; the radius scales back by 2^k exactly.  (With small
-    values the shift s >= 1 would swamp F(x), and the bracket would narrow
-    too slowly.)
+    Requires real nonnegative entries and weak irreducibility, and checks
+    both.  Iterates x <- normalize((F(x) + s x^[r-1])^[1/(r-1)]) with shift
+    s = 1 + max diagonal entry; stops when the min/max eigenvalue bracket is
+    within tol, or when it stalls at float precision (as for large spectral
+    radii).  A tensor whose values are all below 1/2, and one whose first
+    bracket is past the float range, run on the tensor times 2^-k, whose
+    largest value is near 1; the radius scales back by 2^k exactly.  (With
+    small values the shift s >= 1 would swamp F(x), and the bracket would
+    narrow too slowly.)  The pair is certified once, against ``a`` as given.
     """
     if not a.is_nonnegative():
         raise ValueError("power iteration requires real nonnegative entries")
@@ -125,12 +125,17 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
         raise ValueError(
             "tensor is weakly reducible; decompose it with components() and "
             "take per-part spectral radii")
-    return _power(a, tol, max_iter)
+    rho, x = _power(a, tol, max_iter)
+    return EigenPair.certify(a, rho, x, kind="H")
 
 
 @np.errstate(over="ignore")  # an overflow leaves a bracket or a norm that is not finite: see below
-def _power(a: CubicalTensor, tol: float, max_iter: int) -> EigenPair:
-    """`spectral_radius_power` on a tensor that passed its structure checks."""
+def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
+    """The bare Perron pair (rho, x) of `spectral_radius_power`, with no residual.
+
+    ``a`` must be nonnegative and weakly irreducible; the caller checks that,
+    or knows it, and certifies the pair against the tensor it reports on.
+    """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
@@ -168,29 +173,30 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> EigenPair:
         else:
             stalled = 0
         if width <= tol or stalled == _STALL_ITERATIONS:
-            rho = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) unless lo + hi overflows
-            return EigenPair.certify(a, rho, x, kind="H")
+            return 0.5 * lo + 0.5 * hi, x  # 0.5 * (lo + hi) unless lo + hi overflows
         x = x_new
     raise ConvergenceError(lo, hi, max_iter)
 
 
 @np.errstate(over="ignore")  # a radius past the float range scales back to inf: see below
-def _rescaled_power(a: CubicalTensor, k: int, tol: float, max_iter: int) -> EigenPair:
-    """The Perron pair of ``a`` from that of a * 2^-k, certified against ``a``.
+def _rescaled_power(a: CubicalTensor, k: int, tol: float,
+                    max_iter: int) -> tuple[float, np.ndarray]:
+    """The bare Perron pair of ``a`` from that of a * 2^-k: rho times 2^k, the same x.
 
     Scaling by a positive factor keeps the index rows and the signs, so the
-    scaled tensor skips the structure checks that ``a`` passed.
+    scaled tensor needs no structure check, and it gets no residual: the
+    caller certifies the pair against the tensor it reports on.
     """
     try:
-        pair = _power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
+        rho, x = _power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
     except ConvergenceError as exc:
         raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
                                exc.iterations) from None
-    rho = float(np.ldexp(pair.lam.real, k))
-    if rho == math.inf:
-        raise ValueError(f"the spectral radius {pair.lam.real!r} * 2**{k} is not finite "
+    scaled = float(np.ldexp(rho, k))
+    if scaled == math.inf:
+        raise ValueError(f"the spectral radius {rho!r} * 2**{k} is not finite "
                          "in floating point")
-    return EigenPair.certify(a, rho, pair.x, kind="H")
+    return scaled, x
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +326,17 @@ def check_symmetric_spectrum_certified(a: CubicalTensor, tol: float = 1e-10,
     Odd r: symmetric only for the zero tensor.  Even r: the spectrum is
     symmetric iff an odd coloring exists; on success the report carries, per
     connected component, the Perron pair and its image under the coloring's
-    negation map, both with recomputed residuals.
+    negation map.  Each part of ``components(a)`` is connected, hence weakly
+    irreducible, and nonnegative as ``a`` is, so the power iteration runs on
+    it with no further check; ``plus`` and ``minus`` are each certified once,
+    against ``a``.
     """
     if not is_symmetric(a):
         raise ValueError("certified symmetry check requires a symmetric tensor")
     if not a.is_nonnegative():
         raise ValueError("certified symmetry check requires nonnegative entries")
     if a.r % 2:
-        is_zero = not a.entries
+        is_zero = not len(a._arrays[0])
         return SymmetryReport(symmetric=is_zero, branch="odd-r",
                               certificate=None, witness_pairs=())
     result = odd_coloring(a)
@@ -338,11 +347,10 @@ def check_symmetric_spectrum_certified(a: CubicalTensor, tol: float = 1e-10,
     nm = negation_map_from_coloring(result, a)
     witnesses = []
     for vertices, sub in components(a).parts:
-        sub_pair = spectral_radius_power(sub, tol=tol, max_iter=max_iter)
-        x_full = [0j] * a.n
-        for local, v in enumerate(vertices):
-            x_full[v - 1] = sub_pair.x[local]
-        plus = EigenPair.certify(a, sub_pair.lam, x_full, kind="H")
+        rho, x = _power(sub, tol, max_iter)
+        x_full = np.zeros(a.n)
+        x_full[np.subtract(vertices, 1)] = x
+        plus = EigenPair.certify(a, rho, x_full, kind="H")
         minus = nm.transport(plus, a)
         witnesses.append(ComponentWitness(vertices=vertices, plus=plus,
                                           minus=minus))

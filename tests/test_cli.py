@@ -565,6 +565,15 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"error: the input is too large for {verb}: out of memory\n"
 
+    @pytest.mark.parametrize("flag", ["--output", "--witness-output"])
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, flag, where):
+        path = str(tmp_path / "absent" / "x.json" if where == "missing directory" else tmp_path)
+        argv = ["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4", flag, path]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {path}: ")
+
     def test_unknown_verb_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -391,6 +392,49 @@ class TestSymmetryReport:
     def test_zero_tensor_even_r_symmetric(self):
         rep = check_symmetric_spectrum_certified(CubicalTensor(4, 2, []))
         assert rep.symmetric and rep.branch == "colorable"
+
+    def test_each_pair_is_certified_once(self, monkeypatch):
+        # every part of components() is connected, so weakly irreducible, and
+        # nonnegative as the tensor is: no part is checked again, and each
+        # reported pair gets one residual, against the tensor as given
+        residuals, builds, irreducible = [], [], []
+        residual, arcs = hs.spectra.eigen_residual, CubicalTensor._arcs
+        weakly_irreducible = hs.tensor.is_weakly_irreducible
+
+        def counted_residual(a, lam, x):
+            residuals.append(a)
+            return residual(a, lam, x)
+
+        def counted_arcs(self):
+            if "_arcs" not in self._cache:
+                builds.append(self)
+            return arcs(self)
+
+        def counted_irreducible(a):
+            irreducible.append(a)
+            return weakly_irreducible(a)
+
+        monkeypatch.setattr(hs.spectra, "eigen_residual", counted_residual)
+        monkeypatch.setattr(CubicalTensor, "_arcs", counted_arcs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hypersym.") and hasattr(module, "is_weakly_irreducible"):
+                monkeypatch.setattr(module, "is_weakly_irreducible", counted_irreducible)
+
+        g = fixture("prop4-k1")
+        twice = Hypergraph(g.r, 2 * g.n, [*g.edges, *(tuple(v + g.n for v in e) for e in g.edges)])
+        rep = check_symmetric_spectrum_certified(twice)
+        assert [w.vertices for w in rep.witness_pairs] == [tuple(range(1, 9)), tuple(range(9, 17))]
+        assert residuals == [twice] * 4 and builds == [twice] and irreducible == []
+
+        residuals.clear()
+        orbits = {(1, 2): Fraction(1, 10**6), (2, 3): Fraction(4, 10**6)}
+        small = CubicalTensor.from_orbits(2, 3, orbits)
+        spectral_radius_power(small, max_iter=1000)
+        assert residuals == [small]
+
+        irreducible.clear()
+        assert hs.verify_component_product(fixture("a2")).equal
+        assert irreducible == []
 
 
 class TestDiagonalSimilaritySpectra:

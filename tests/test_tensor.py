@@ -312,6 +312,11 @@ class TestIrreducibilityAndComponents:
         assert dec.isolated == tuple(part[0] for part in expected if len(part) == 1
                                      and (part[0],) * r not in a.entries)
         assert is_weakly_irreducible(a) == nx.is_connected(g) == (len(expected) == 1)
+        # what the power iteration of check-symmetric relies on, unchecked:
+        # each part is weakly irreducible, and nonnegative when the tensor is
+        for _, sub in dec.parts:
+            assert is_weakly_irreducible(sub)
+            assert sub.is_nonnegative() or not a.is_nonnegative()
 
     def test_components_requires_symmetric(self):
         with pytest.raises(ValueError):
