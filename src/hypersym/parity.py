@@ -13,14 +13,17 @@ Solvers and checks read one pattern-incidence array C, cached on the tensor
 (a hypergraph is one): C[i, j] counts vertex j+1 in pattern i.  A coloring
 phi verifies when C @ phi == r/2 (mod r) row by row, a transversal X when
 C[:, X] sums to an odd number in every row.  The residue system C phi ==
-r/2 is solved modulo each prime power p^e of r and recombined by CRT.  The
-elimination pivots on the row-major-first entry of minimum p-valuation
-among the unused columns of the remaining rows, so a pivot divides every
-other entry of its row and free variables can be set to zero.  It divides
-no entry of the working matrix: each row below a pivot subtracts a row
-read from a table of the pivot row's multiples mod p^e, and adds p^e back
-where the difference is negative.  The odd-transversal system over GF(2)
-takes the rows of C mod 2 as bitmasks.
+r/2 is solved modulo each prime power p^e of r and recombined by CRT; with
+no pattern rows phi = 0 holds, and r is not factored.  The elimination
+pivots on the row-major-first entry of minimum p-valuation among the
+unused columns of the remaining rows, so a pivot divides every other entry
+of its row and free variables can be set to zero.  It divides no entry of
+the working matrix: every row below a pivot subtracts a row read from a
+table of the pivot row's multiples mod p^e, indexed by the row's own
+pivot-column entry, and the unsigned wrap of a negative difference is
+folded back to its residue.  The odd-transversal system over GF(2) is
+eliminated column by column, each column of C mod 2 held as one Python int
+whose bit i is row i.
 """
 from __future__ import annotations
 
@@ -149,35 +152,75 @@ def support_patterns(obj) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) elimination with row-provenance tracking
+# GF(2) elimination on column bitsets
 # ---------------------------------------------------------------------------
 
-def _solve_gf2(rows: list[int], rhs: list[int], n: int):
-    """Solve the GF(2) system given rows as bitmasks.
+def _column_bits(a: np.ndarray) -> list[int]:
+    """Each column of a 0/1 array as an int whose bit i is the column's row i."""
+    packed = np.packbits(a, axis=0, bitorder="little")
+    data, size = packed.T.tobytes(), len(packed)
+    return [int.from_bytes(data[k * size:(k + 1) * size], "little") for k in range(a.shape[1])]
 
-    Returns ("sat", solution_mask) or ("unsat", history_mask) where the
-    history names the original rows whose XOR is the inconsistent 0 == 1 row.
+
+def _solve_gf2(cols: list[int], rhs: int, nrows: int):
+    """Solve over GF(2) the system whose column j has bit i set for a 1 in row i.
+
+    Eliminates column by column: the pivot of a column is the lowest-index
+    non-pivot row with its bit set, and it is XORed into the other non-pivot
+    rows that have it.  A row is XORed only into rows after it, so the pivot
+    rows are the greedy row-order basis, and a non-pivot row ends as zero
+    plus the unique combination of the pivot rows before it.
+
+    Returns ("sat", x), x the solution supported on the pivot columns (bit
+    j for column j), unique since the pivot columns depend on the row space
+    only; or ("unsat", (i, kept)): i, the least non-pivot row left with
+    right side 1, and kept, the pivot rows before it, ascending.
     """
-    reduced: list[tuple[int, int, int, int]] = []  # (mask, rhs, history, pivot_col)
-    for ri, (mask, b) in enumerate(zip(rows, rhs)):
-        hist = 1 << ri
-        for pmask, pb, phist, pcol in reduced:
-            if (mask >> pcol) & 1:
-                mask ^= pmask
-                b ^= pb
-                hist ^= phist
-        if mask == 0:
-            if b:
-                return "unsat", hist
+    cols = list(cols)
+    free = (1 << nrows) - 1  # the non-pivot rows
+    pivots: list[tuple[int, int]] = []  # (column, its pivot row's bit)
+    for j in range(len(cols)):
+        hit = cols[j] & free
+        if not hit:
             continue
-        pcol = (mask & -mask).bit_length() - 1
-        reduced.append((mask, b, hist, pcol))
-    x = 0
-    for mask, b, _hist, pcol in reversed(reduced):
-        val = b ^ ((mask & x & ~(1 << pcol)).bit_count() & 1)
-        if val:
-            x |= 1 << pcol
+        low = hit & -hit
+        rest = hit ^ low
+        free ^= low
+        for c in range(j + 1, len(cols)):
+            if cols[c] & low:
+                cols[c] ^= rest
+        if rhs & low:
+            rhs ^= rest
+        pivots.append((j, low))
+    bad = rhs & free
+    if bad:
+        i = (bad & -bad).bit_length() - 1
+        return "unsat", (i, sorted(k for _, low in pivots if (k := low.bit_length() - 1) < i))
+    # a pivot row is never updated after its column, so the final columns
+    # hold its entries; acc is the sum of the columns set in x so far
+    x = acc = 0
+    for j, low in reversed(pivots):
+        if (rhs ^ acc) & low:
+            x |= 1 << j
+            acc ^= cols[j]
     return "sat", x
+
+
+def _solve_parity(a: np.ndarray, rhs: int):
+    """Solve a @ x == rhs over GF(2), for a 0/1 array a and rhs bit i for row i.
+
+    Returns ("sat", x), x bit j for column j, or ("unsat", rows): the
+    ascending indices of the first inconsistent row and of the pivot rows
+    before it that sum to it, so that the rows read 0 == 1.
+    """
+    status, result = _solve_gf2(_column_bits(a), rhs, len(a))
+    if status == "sat":
+        return status, result
+    i, kept = result
+    # row i as a sum of the kept rows: one equation per column of a
+    *cols, row = _column_bits(a[kept + [i]].T)
+    _, y = _solve_gf2(cols, row, a.shape[1])
+    return "unsat", [k for s, k in enumerate(kept) if y >> s & 1] + [i]
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +243,9 @@ def _prime_power_factors(m: int) -> list[tuple[int, int]]:
     return out
 
 
+# A pivot scan reads blocks of 8, 16, 32, ... rows, up to 1,024: a unit
+# ends it, so a unit near the top is found without reading far below.
+_SCAN_FIRST = 8
 _SCAN_ROWS = 1024
 
 
@@ -214,10 +260,12 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
 
     The working matrix is [rows | rhs] in an unsigned dtype, one residue
     in [0, p^e) per entry, and no step divides its entries.  A pivot
-    subtracts t * (pivot row) from each row below whose pivot-column entry
-    a is nonzero, with t = (a / p^v) / unit; the row to subtract is read
-    from a table over the p^e values of a, and p^e is added back where the
-    difference is negative.
+    subtracts t * (pivot row) from every row below it, with t = (a / p^v)
+    / unit for its pivot-column entry a; the row to subtract is read from
+    a table over the p^e values of a, whose row 0 is zero.  The
+    subtraction wraps below zero in the unsigned range: for p = 2 the wrap
+    is a multiple of p^e and the low e bits are the residue; for odd p,
+    adding p^e wraps the difference again to its residue.
     """
     mod = p ** e
     nrows, ncols = rows.shape
@@ -234,32 +282,37 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
     for k in range(1, e + 1):
         val[::p ** k] += 1
     residues = np.arange(mod)
+    multipliers: dict[tuple[int, int], np.ndarray] = {}  # (p^v, unit) -> t of each residue
     pivots: list[tuple[int, int, int]] = []  # (col, p^v, unit) of the pivot in row i
     for top in range(min(nrows, ncols)):
-        # row-major-first minimum, by blocks of rows: a unit ends the scan.
-        # Pivot columns are zero below their pivots, so they never hold it.
-        v = e
-        for lo in range(top, nrows, _SCAN_ROWS):
-            vals = val.take(w[lo:lo + _SCAN_ROWS, :ncols])
+        # row-major-first minimum.  Pivot columns are zero below their
+        # pivots, so they never hold it.
+        v, lo, size = e, top, _SCAN_FIRST
+        while lo < nrows:
+            vals = val.take(w[lo:lo + size, :ncols])
             i, k = divmod(int(vals.argmin()), ncols)
             if vals[i, k] < v:
                 v, pi, pj = int(vals[i, k]), lo + i, k
                 if v == 0:
                     break
+            lo += size
+            size = min(2 * size, _SCAN_ROWS)
         if v == e:
             break
-        w[top], w[pi] = w[pi].copy(), w[top].copy()
+        if pi != top:
+            w[[top, pi]] = w[[pi, top]]
         pv = p ** v
         unit = int(w[top, pj]) // pv
-        t = residues // pv * pow(unit, -1, mod)  # the multiplier of each pivot-column value
+        t = multipliers.get((pv, unit))
+        if t is None:
+            t = multipliers[pv, unit] = residues // pv * pow(unit, -1, mod) % mod
         table = (np.multiply.outer(t, w[top]) % mod).astype(dtype)
-        below = top + 1 + w[top + 1:, pj].nonzero()[0]
-        rest = w.take(below, axis=0)
-        rest -= table.take(rest[:, pj], axis=0)
-        # a negative difference wrapped to the top of the unsigned range, and
-        # adding p^e wraps it again to the smaller value, its residue
-        np.minimum(rest, rest + mod, out=rest)
-        w[below] = rest
+        below = w[top + 1:]
+        below -= table.take(below[:, pj], axis=0)
+        if p == 2:
+            below &= mod - 1
+        else:
+            np.minimum(below, below + mod, out=below)
         pivots.append((pj, pv, unit))
     top = len(pivots)
     bad = np.flatnonzero(w[top:, ncols])
@@ -289,7 +342,9 @@ def odd_coloring(obj) -> OddColoring | ColoringInfeasible:
     rows = tensor._incidence()
     rhs = np.full(len(rows), r // 2)
     phi, modulus = [0] * n, 1  # lifted by CRT one prime power at a time
-    for p, e in _prime_power_factors(r):
+    # no pattern rows: phi = 0 holds vacuously, and r, unbounded by the
+    # document's size, is neither factored nor given to the solver
+    for p, e in _prime_power_factors(r) if len(rows) else ():
         status, result = _solve_mod_prime_power(rows, rhs, p, e)
         if status == "unsat":
             return ColoringInfeasible(r=r, modulus=p ** e, detail=result)
@@ -307,22 +362,12 @@ def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
     """Find an odd transversal of a tensor or hypergraph, or show none exists."""
     tensor = _tensor(obj)
     n = tensor.n
-    # bit j of a row's mask: vertex j+1 occurs an odd number of times
-    bits = np.packbits(tensor._incidence() & 1, axis=1, bitorder="little")
-    words = np.zeros((len(bits), -(-n // 64) * 8), dtype=np.uint8)
-    words[:, :bits.shape[1]] = bits
-    words = words.view("<u8")  # 64 vertices a word
-    masks = words[:, 0].tolist()
-    for k in range(1, words.shape[1]):
-        masks = [m | w << 64 * k for m, w in zip(masks, words[:, k].tolist())]
-    status, result = _solve_gf2(masks, [1] * len(masks), n)
+    odd = tensor._incidence() & 1  # [i, j]: vertex j+1 occurs an odd number of times
+    status, result = _solve_parity(odd, (1 << len(odd)) - 1)
     if status == "unsat":
-        # the rows the history names, read from its bits and the pattern array only
-        history = np.frombuffer(result.to_bytes(-(-len(masks) // 8), "little"), dtype=np.uint8)
-        idxs = np.flatnonzero(np.unpackbits(history, bitorder="little"))
         return TransversalInfeasible(
-            n=n, pattern_indices=tuple(idxs.tolist()),
-            patterns=tuple(map(tuple, tensor._pattern_rows()[idxs].tolist())))
+            n=n, pattern_indices=tuple(result),
+            patterns=tuple(map(tuple, tensor._pattern_rows()[result].tolist())))
     vertices = tuple(j + 1 for j in range(n) if (result >> j) & 1)
     x = OddTransversal(n=n, vertices=vertices)
     if not verify_certificate(obj, x):

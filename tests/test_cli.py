@@ -653,6 +653,18 @@ class TestSubprocessContract:
         data = json.loads(proc.stdout)
         assert data.get("feasible", data.get("symmetric")) is True
 
+    @pytest.mark.parametrize("verb", ["odd-coloring", "check-symmetric"])
+    # 2 times a prime of 40 bits, and of 59 bits
+    @pytest.mark.parametrize("r", [2199023255378, 1152921504606846866])
+    def test_zero_tensor_with_large_prime_factor_finishes(self, tmp_path, verb, r):
+        # phi = 0 holds vacuously: neither factoring r nor a residue table of p^e entries
+        p = tmp_path / "zero.json"
+        p.write_text('{"r": %d, "n": 1, "entries": []}' % r)
+        proc = subprocess.run(self.cmd(verb, "--input", str(p)), capture_output=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["certificate"] == {"kind": "odd-coloring", "phi": [0], "r": r}
+
     def test_pipe_fixture_into_rho(self, tmp_path):
         first = subprocess.run(
             self.cmd("fixture", "prop4-k1"), capture_output=True, check=True

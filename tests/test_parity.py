@@ -30,7 +30,7 @@ from hypersym import (
     verify_certificate,
 )
 from hypersym import parity
-from hypersym.parity import _solve_mod_prime_power
+from hypersym.parity import _solve_mod_prime_power, _solve_parity
 
 from conftest import random_hypergraph, random_tensor
 
@@ -458,6 +458,12 @@ class TestPrimePowerElimination:
     @example((2, 3, 3, [], [], np.int64))  # no rows: x = 0
     # the update leaves 130 (mod 131), and 130 + 131 is past 8 bits
     @example((131, 1, 2, [[1, 0], [1, 130]], [0, 1], np.int64))
+    # zero rows, then rows of valuation >= 1, before the first unit: the
+    # first scan crosses blocks of every size up to the cap of a mock
+    @example((2, 3, 2, [[0, 0]] * 20 + [[4, 2]] * 6 + [[6, 1], [0, 3], [2, 2]],
+              [4] * 26 + [1, 3, 0], np.int64))
+    @example((3, 2, 3, [[3, 0, 6]] * 9 + [[0, 9, 0]] * 14 + [[9, 3, 1], [1, 1, 1]],
+              [3] * 9 + [0] * 14 + [2, 5], np.int8))
     def test_matches_python_oracle(self, system):
         p, e, ncols, rows, rhs, dtype = system
         expected = oracle_solve_mod_prime_power(rows, rhs, ncols, p, e)
@@ -465,9 +471,10 @@ class TestPrimePowerElimination:
                 np.array(rhs, dtype=np.int64), p, e)
         got = _solve_mod_prime_power(*args)
         assert got == expected
-        # the pivot search scans rows by blocks; tiny blocks split every system
-        for rows_per_block in (1, 3):
-            with mock.patch.object(parity, "_SCAN_ROWS", rows_per_block):
+        # the pivot search scans rows by growing blocks; tiny ones split every
+        # system: blocks of 1, 2, 4, 4, ... rows, and of 3, 3, ... rows
+        for first, cap in ((1, 4), (3, 3)):
+            with mock.patch.multiple(parity, _SCAN_FIRST=first, _SCAN_ROWS=cap):
                 assert _solve_mod_prime_power(*args) == expected
         status, x = got
         if status == "sat":
@@ -480,6 +487,85 @@ class TestPrimePowerElimination:
         assert four == ("unsat", "pivot equation needs 1 divisible by 2 (mod 4)")
         nine = _solve_mod_prime_power(np.array([[3], [3]]), np.array([3, 6]), 3, 2)
         assert nine == ("unsat", "0 == 3 (mod 9) after elimination")
+
+
+# ---------------------------------------------------------------------------
+# the column-bitset GF(2) elimination against the row loop it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_solve_gf2(rows: list[int], rhs: list[int], n: int):
+    """Solve the GF(2) system given rows as bitmasks.
+
+    Returns ("sat", solution_mask) or ("unsat", history_mask) where the
+    history names the original rows whose XOR is the inconsistent 0 == 1 row.
+    """
+    reduced: list[tuple[int, int, int, int]] = []  # (mask, rhs, history, pivot_col)
+    for ri, (mask, b) in enumerate(zip(rows, rhs)):
+        hist = 1 << ri
+        for pmask, pb, phist, pcol in reduced:
+            if (mask >> pcol) & 1:
+                mask ^= pmask
+                b ^= pb
+                hist ^= phist
+        if mask == 0:
+            if b:
+                return "unsat", hist
+            continue
+        pcol = (mask & -mask).bit_length() - 1
+        reduced.append((mask, b, hist, pcol))
+    x = 0
+    for mask, b, _hist, pcol in reversed(reduced):
+        val = b ^ ((mask & x & ~(1 << pcol)).bit_count() & 1)
+        if val:
+            x |= 1 << pcol
+    return "sat", x
+
+
+@st.composite
+def gf2_systems(draw):
+    """Systems of up to 80 rows on up to 70 columns (more than one 64-bit
+    word), with zero rows, sparse rows, and repeats and sums of earlier rows
+    whose own right side often contradicts them.
+    """
+    n = draw(st.integers(1, 70))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 80))):
+        kind = draw(st.sampled_from(["zero", "sparse", "any", "repeat", "sum"]))
+        if kind in ("repeat", "sum") and rows:
+            picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                                  max_size=1 if kind == "repeat" else 4))
+            row = 0
+            for i in picks:
+                row ^= rows[i]
+        elif kind == "zero":
+            row = 0
+        elif kind == "sparse":
+            row = sum(1 << j for j in draw(st.sets(st.integers(0, n - 1), max_size=3)))
+        else:
+            row = draw(st.integers(0, (1 << n) - 1))
+        rows.append(row)
+        rhs.append(draw(st.integers(0, 1)))
+    return n, rows, rhs
+
+
+class TestGF2Elimination:
+    @PROPERTY
+    @given(gf2_systems())
+    @example((3, [], []))  # no rows: x = 0
+    @example((2, [0], [1]))  # 0 == 1 at once
+    @example((70, [1 << 69, 1 << 69 | 1, 1], [1, 0, 0]))  # row 2 is rows 0 and 1 summed
+    @example((66, [3, 1 << 65, 2, 1 << 65 | 1], [1, 1, 0, 1]))
+    def test_matches_row_loop(self, system):
+        n, rows, rhs = system
+        expected = oracle_solve_gf2(rows, rhs, n)
+        a = np.array([[row >> j & 1 for j in range(n)] for row in rows],
+                     dtype=np.int8).reshape(len(rows), n)
+        status, result = _solve_parity(a, sum(b << i for i, b in enumerate(rhs)))
+        assert status == expected[0]
+        if status == "sat":
+            assert result == expected[1]
+        else:
+            assert result == [i for i in range(len(rows)) if expected[1] >> i & 1]
 
 
 @st.composite
