@@ -155,38 +155,47 @@ def support_patterns(obj) -> list[tuple[int, ...]]:
 # GF(2) elimination on column bitsets
 # ---------------------------------------------------------------------------
 
-def _column_bits(a: np.ndarray) -> list[int]:
-    """Each column of a 0/1 array as an int whose bit i is the column's row i."""
-    packed = np.packbits(a, axis=0, bitorder="little")
-    data, size = packed.T.tobytes(), len(packed)
-    return [int.from_bytes(data[k * size:(k + 1) * size], "little") for k in range(a.shape[1])]
+def _packed_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 0/1 array packed 8 columns a byte, little-endian."""
+    # numpy packs a contiguous copy faster than it packs along strides
+    return np.packbits(np.ascontiguousarray(a), axis=1, bitorder="little")
 
 
-def _solve_gf2(cols: list[int], rhs: int, nrows: int):
-    """Solve over GF(2) the system whose column j has bit i set for a 1 in row i.
+def _solve_gf2(a: np.ndarray, rhs: int):
+    """Solve a @ x == rhs over GF(2), for a 0/1 array a and rhs bit i for row i.
 
-    Eliminates column by column: the pivot of a column is the lowest-index
-    non-pivot row with its bit set, and it is XORed into the other non-pivot
-    rows that have it.  A row is XORed only into rows after it, so the pivot
-    rows are the greedy row-order basis, and a non-pivot row ends as zero
-    plus the unique combination of the pivot rows before it.
+    Eliminates column by column on column bitsets, one Python int per
+    column whose bit i is row i: the pivot of a column is the lowest-index
+    non-pivot row with its bit set, and it is XORed into the other
+    non-pivot rows that have it.  A row is XORed only into rows after it,
+    so the pivot rows are the greedy row-order basis, and a non-pivot row
+    ends as zero plus the unique combination of the pivot rows before it.
+    Each pivot reads every nonzero column of a after its own, about rank
+    x (nonzero columns) steps in all.  A column that is zero in a stays
+    zero and is never read, so a wide system with few sparse rows pays for
+    the columns its rows touch, not for all of them.
 
     Returns ("sat", x), x the solution supported on the pivot columns (bit
     j for column j), unique since the pivot columns depend on the row space
     only; or ("unsat", (i, kept)): i, the least non-pivot row left with
     right side 1, and kept, the pivot rows before it, ascending.
     """
-    cols = list(cols)
-    free = (1 << nrows) - 1  # the non-pivot rows
+    packed = _packed_rows(a.T)
+    live = np.flatnonzero(packed.any(axis=1)).tolist()  # the nonzero columns
+    data, size = packed.tobytes(), packed.shape[1]
+    cols = [0] * a.shape[1]
+    for j in live:
+        cols[j] = int.from_bytes(data[j * size:(j + 1) * size], "little")
+    free = (1 << len(a)) - 1  # the non-pivot rows
     pivots: list[tuple[int, int]] = []  # (column, its pivot row's bit)
-    for j in range(len(cols)):
+    for k, j in enumerate(live):
         hit = cols[j] & free
         if not hit:
             continue
         low = hit & -hit
         rest = hit ^ low
         free ^= low
-        for c in range(j + 1, len(cols)):
+        for c in live[k + 1:]:
             if cols[c] & low:
                 cols[c] ^= rest
         if rhs & low:
@@ -213,13 +222,13 @@ def _solve_parity(a: np.ndarray, rhs: int):
     ascending indices of the first inconsistent row and of the pivot rows
     before it that sum to it, so that the rows read 0 == 1.
     """
-    status, result = _solve_gf2(_column_bits(a), rhs, len(a))
+    status, result = _solve_gf2(a, rhs)
     if status == "sat":
         return status, result
     i, kept = result
     # row i as a sum of the kept rows: one equation per column of a
-    *cols, row = _column_bits(a[kept + [i]].T)
-    _, y = _solve_gf2(cols, row, a.shape[1])
+    row = int.from_bytes(_packed_rows(a[[i]]).tobytes(), "little")
+    _, y = _solve_gf2(a[kept].T, row)
     return "unsat", [k for s, k in enumerate(kept) if y >> s & 1] + [i]
 
 
@@ -282,7 +291,7 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
     for k in range(1, e + 1):
         val[::p ** k] += 1
     residues = np.arange(mod)
-    multipliers: dict[tuple[int, int], np.ndarray] = {}  # (p^v, unit) -> t of each residue
+    last = None  # the (p^v, unit) of the pivot that t was computed for
     pivots: list[tuple[int, int, int]] = []  # (col, p^v, unit) of the pivot in row i
     for top in range(min(nrows, ncols)):
         # row-major-first minimum.  Pivot columns are zero below their
@@ -303,9 +312,8 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
             w[[top, pi]] = w[[pi, top]]
         pv = p ** v
         unit = int(w[top, pj]) // pv
-        t = multipliers.get((pv, unit))
-        if t is None:
-            t = multipliers[pv, unit] = residues // pv * pow(unit, -1, mod) % mod
+        if (pv, unit) != last:
+            last, t = (pv, unit), residues // pv * pow(unit, -1, mod) % mod
         table = (np.multiply.outer(t, w[top]) % mod).astype(dtype)
         below = w[top + 1:]
         below -= table.take(below[:, pj], axis=0)
@@ -368,7 +376,7 @@ def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
         return TransversalInfeasible(
             n=n, pattern_indices=tuple(result),
             patterns=tuple(map(tuple, tensor._pattern_rows()[result].tolist())))
-    vertices = tuple(j + 1 for j in range(n) if (result >> j) & 1)
+    vertices = tuple(j + 1 for j, bit in enumerate(bin(result)[:1:-1]) if bit == "1")
     x = OddTransversal(n=n, vertices=vertices)
     if not verify_certificate(obj, x):
         raise RuntimeError("internal error: solver produced a non-verifying transversal")

@@ -464,6 +464,8 @@ class TestPrimePowerElimination:
               [4] * 26 + [1, 3, 0], np.int64))
     @example((3, 2, 3, [[3, 0, 6]] * 9 + [[0, 9, 0]] * 14 + [[9, 3, 1], [1, 1, 1]],
               [3] * 9 + [0] * 14 + [2, 5], np.int8))
+    # pivots 1 and 2 (mod 8) share the unit 1 but not p^v, which t depends on
+    @example((2, 3, 2, [[1, 0], [0, 2], [0, 6]], [1, 2, 6], np.int64))
     def test_matches_python_oracle(self, system):
         p, e, ncols, rows, rhs, dtype = system
         expected = oracle_solve_mod_prime_power(rows, rhs, ncols, p, e)
@@ -555,6 +557,8 @@ class TestGF2Elimination:
     @example((2, [0], [1]))  # 0 == 1 at once
     @example((70, [1 << 69, 1 << 69 | 1, 1], [1, 0, 0]))  # row 2 is rows 0 and 1 summed
     @example((66, [3, 1 << 65, 2, 1 << 65 | 1], [1, 1, 0, 1]))
+    # row 1's pivot row gains column 3 from row 0, which row 1 of a lacks
+    @example((4, [0b1001, 0b0011, 0b0010], [1, 0, 0]))
     def test_matches_row_loop(self, system):
         n, rows, rhs = system
         expected = oracle_solve_gf2(rows, rhs, n)
