@@ -2,20 +2,23 @@
 
 The characteristic polynomial of an order-n tensor with r indices is the
 resultant of the n eigenvalue forms lam * x_k^(r-1) - F_k(x); it is monic of
-degree n * (r-1)^(n-1).  Denominators are cleared once per tensor, and
+degree n * (r-1)^(n-1).  Denominators are cleared once per tensor, read
+from its stored arrays: one lcm over the distinct values and one cleared
+integer per distinct value, which each stored row takes by its place.
 lam then appears only on the diagonal of one integer Sylvester (n = 2) or
 Macaulay (n = 3) matrix, so the resultant is det(mu I + M0), divided for
 n = 3 by the same on the submatrix of non-reduced monomials.  The
-determinants come exactly from `resultants.shifted_det_coeffs`:
-characteristic polynomials modulo word primes, lifted by CRT.  No
-evaluation nodes are used; a matrix (r = 2) is one shifted determinant.
+determinants come exactly from `resultants.shifted_det_coeffs`, block by
+block over the strong components of M0's digraph: characteristic
+polynomials modulo word primes, lifted by CRT.  No evaluation nodes are
+used; a matrix (r = 2) is one shifted determinant.
 A polynomial has a symmetric root multiset iff p(-x) == (-1)^deg p(x).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -33,16 +36,6 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The least common denominator of the coefficients, and each one times it."""
     den = lcm(*(c.denominator for c in coeffs))
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Ascending integer coefficients of the product of two polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
 
 
 class UniPoly:
@@ -85,6 +78,8 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
+        from .resultants import _convolve  # on first use, as in charpoly_2matrix
+
         den_a, a = _numerators(self.coeffs)
         den_b, b = _numerators(other.coeffs)
         den = den_a * den_b
@@ -93,6 +88,8 @@ class UniPoly:
     def __pow__(self, e: int) -> "UniPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        from .resultants import _convolve  # on first use, as in charpoly_2matrix
+
         den, base = _numerators(self.coeffs)
         den **= e
         out = [1]
@@ -228,11 +225,23 @@ def _require_real_rational(a: CubicalTensor, what: str) -> None:
         raise ValueError(f"{what} requires real rational entries")
 
 
-def _cleared(a: CubicalTensor) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
-    """L, the lcm of the entry denominators, and each entry times -L as an int."""
-    items = list(a.entries.items())
-    scale = lcm(1, *(v.re.denominator for _, v in items))
-    return scale, [(idx, -v.re.numerator * (scale // v.re.denominator)) for idx, v in items]
+def _cleared(a: CubicalTensor) -> tuple[int, np.ndarray, np.ndarray]:
+    """L, the lcm of the value denominators, the stored rows, and each row's value times -L.
+
+    Read from the array storage: one lcm over the distinct values, one
+    cleared integer per distinct value, and each row's taken through
+    ``where``, as int64 where every one fits, else as Python ints in an
+    object array.  An orbit-stored tensor's rows are sorted multisets,
+    each standing for all its orderings.
+    """
+    keys, where, distinct = a._arrays
+    scale = lcm(1, *(v.re.denominator for v in distinct))
+    cleared = [-v.re.numerator * (scale // v.re.denominator) for v in distinct]
+    try:
+        table = np.array(cleared, dtype=np.int64)
+    except OverflowError:
+        table = np.array(cleared, dtype=object)
+    return scale, keys, table[where]
 
 
 def _scaled(coeffs: list[int], scale: int) -> UniPoly:
@@ -252,11 +261,13 @@ def charpoly_2matrix(a: CubicalTensor) -> UniPoly:
 
     n = a.n
     # det(xI - A) = det(mu I - L A) / L^n with mu = L x
-    scale, items = _cleared(a)
-    m0 = [[0] * n for _ in range(n)]
-    for (i, j), v in items:
-        m0[i - 1][j - 1] = v
-    p = _scaled(shifted_det_coeffs(m0), scale)
+    scale, keys, values = _cleared(a)
+    m0 = np.zeros((n, n), dtype=values.dtype)
+    rows, cols = (keys - 1).T
+    m0[rows, cols] = values
+    if a._by_orbit:  # row (i, j) stands for (j, i) too
+        m0[cols, rows] = values
+    p = _scaled(shifted_det_coeffs(m0.tolist()), scale)
     if p.degree != n or not p.is_monic():
         raise RuntimeError("internal error: matrix charpoly is not monic of degree n")
     return p
@@ -284,15 +295,26 @@ def charpoly_tensor(a: CubicalTensor) -> UniPoly:
 
     n, r = a.n, a.r
     degree = n * (r - 1) ** (n - 1)
-    scale, items = _cleared(a)
+    scale, keys, values = _cleared(a)
+    orderings = factorial(r)
     forms: list[dict] = [{} for _ in range(n)]
-    for idx, v in items:
+    for row, v in zip(keys.tolist(), values.tolist()):
         expo = [0] * n
-        for j in idx[1:]:
+        for j in row:
             expo[j - 1] += 1
-        key = tuple(expo)
-        form = forms[idx[0] - 1]
-        form[key] = form.get(key, 0) + v
+        if a._by_orbit:
+            # an orbit's orderings with head k number orderings(row) * m_k / r,
+            # and all have the tail row - k
+            total = orderings // prod(map(factorial, expo))
+            heads = [(k, total * m // r) for k, m in enumerate(expo, 1) if m]
+        else:
+            heads = [(row[0], 1)]
+        for k, count in heads:
+            expo[k - 1] -= 1
+            key = tuple(expo)
+            expo[k - 1] += 1
+            form = forms[k - 1]
+            form[key] = form.get(key, 0) + v * count
     p = _scaled(shifted_resultant_coeffs(forms, [r - 1] * n), scale)
     if p.degree != degree or not p.is_monic():
         raise RuntimeError(

@@ -326,13 +326,22 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
     bad = np.flatnonzero(w[top:, ncols])
     if bad.size:
         return "unsat", f"0 == {int(w[top + bad[0], ncols])} (mod {mod}) after elimination"
-    x = [0] * ncols
-    for (col, pv, unit), (*coeffs, b) in zip(reversed(pivots), reversed(w[:top].tolist())):
-        s = (b - sum(map(mul, coeffs, x))) % mod  # x[col] is still 0
+    # x is zero off the pivot columns, so each pivot row is read at those
+    # only, and at its right side, which meets the 0 that ends xs
+    cols = [col for col, _, _ in pivots]
+    block = w[:top].take(cols + [ncols], axis=1).tolist()
+    xs = [0] * (top + 1)  # x at the pivot columns, in pivot order
+    for i in range(top - 1, -1, -1):
+        _, pv, unit = pivots[i]
+        row = block[i]
+        s = (row[top] - sum(map(mul, row, xs))) % mod  # xs[i] is still 0
         if s % pv:
             return "unsat", (f"pivot equation needs {s} divisible by {pv} "
                              f"(mod {mod})")
-        x[col] = s // pv * pow(unit, -1, mod) % (mod // pv)
+        xs[i] = s // pv * pow(unit, -1, mod) % (mod // pv)
+    x = [0] * ncols
+    for col, v in zip(cols, xs):
+        x[col] = v
     return "sat", x
 
 

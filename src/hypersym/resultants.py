@@ -10,16 +10,22 @@ more variables by det(lam I + M0'), where M0' is the principal submatrix
 on the non-reduced monomials (Macaulay's quotient).  The divisor is
 monic, so the division is exact and there are no evaluation nodes.
 
-`shifted_det_coeffs` is the one engine: it takes the characteristic
-polynomial of -M modulo word-size primes through a Hessenberg reduction
-and combines the residues by the Chinese remainder theorem once the
-product of the primes exceeds twice a certified bound on every
-coefficient.  It has two kernels for the same reduction and recurrence,
-chosen by the order n of M and the number of primes: a small matrix with
-few primes runs on Python ints, once modulo the product of the primes,
-since there numpy's per-call cost exceeds the arithmetic; the rest run on
-a numpy kernel vectorized over the primes.  `macaulay_matrix` is the one
-matrix builder; `shifted_resultant_coeffs` joins the two.
+`shifted_det_coeffs` is the one engine.  It takes the determinant block
+by block: ordered by the strong components of the digraph i -> j
+(M[i][j] != 0, Tarjan 1972), M is block triangular, so det(x I + M) is
+the product of its diagonal blocks'.  A Macaulay matrix often splits into
+one large block and many small ones.  A 1 x 1 block [m] is x + m; a
+larger one takes the characteristic polynomial of minus the block modulo
+word-size primes through a Hessenberg reduction and combines the residues
+by the Chinese remainder theorem once the product of the primes exceeds
+twice a certified bound on every coefficient of that block.  It has two
+kernels for the same reduction and recurrence, chosen by the order of the
+block and the number of primes: a small block with few primes runs on
+Python ints, once modulo the product of the primes, since there numpy's
+per-call cost exceeds the arithmetic; the rest run on a numpy kernel
+vectorized over the primes.  `macaulay_matrix` is the one matrix builder;
+`shifted_resultant_coeffs` joins the two, splitting the numerator and
+Macaulay's denominator alike.
 
 The numpy kernel works in int64 on residues below 2**31.  An elementwise
 product of two residues is below 2**62, so a row update needs one
@@ -36,6 +42,7 @@ independent oracle the engine is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
@@ -437,10 +444,11 @@ def _charpoly_ints(matrix: Sequence[Sequence[int]], modulus: int) -> list[int] |
     return polys[n]
 
 
-# Matrices of order up to _INT_KERNEL_MAX_ORDER that need at most
+# Blocks of order up to _INT_KERNEL_MAX_ORDER that need at most
 # _INT_KERNEL_MAX_PRIMES primes run on `_charpoly_ints`; the rest on the
 # numpy kernel.  Python's work grows as n^3 and with the size of the
-# modulus, numpy's calls as n.  Timed over the 206 matrices that the
+# modulus, numpy's calls as n.  Timed on whole matrices, before the engine
+# split them into blocks, over the 206 matrices that the
 # exact-charpoly benchmark's seed-7 job list passes to `shifted_det_coeffs`
 # (the per-order table is in CHANGES.md), numpy -> Python ints, ms, best
 # of 7: n <= 10 (163 matrices) 20.6 -> 6.4, n = 12 to 14 (5) 4.0 -> 2.0,
@@ -454,14 +462,15 @@ _INT_KERNEL_MAX_ORDER = 15
 _INT_KERNEL_MAX_PRIMES = 8
 
 
-# Most int64 entries in one batch of per-prime matrices, 1 MiB an array.
-# Every numpy-kernel matrix of the exact-charpoly benchmark (n = 18 to 66,
-# at most 10 primes, 43,560 residues) runs all its primes in one batch, as
+# Most int64 entries in one batch of per-prime blocks, 1 MiB an array.
+# Every numpy-kernel block of the exact-charpoly benchmark (order 18 to 60,
+# at most 10 primes, 36,000 residues) runs all its primes in one batch, as
 # would an order-66 Macaulay matrix with 30 primes, so each Hessenberg
-# column costs one set of numpy calls, not one per batch.  Larger matrices
+# column costs one set of numpy calls, not one per batch.  Larger blocks
 # run batch by batch.  Best of 5 in ms, and the tracemalloc peak of
-# `shifted_det_coeffs` in MiB: the 11 numpy-kernel matrices of the
-# benchmark's seed-7 job list, then dense matrices with entries in [-6, 6]
+# `shifted_det_coeffs` in MiB, both before the split into blocks: the 11
+# numpy-kernel matrices of the benchmark's seed-7 job list, then dense
+# matrices with entries in [-6, 6]
 # (10, 17, 21 and 42 primes):
 #   cap      seed 7   n = 60       n = 96       n = 120      n = 220
 #   2**14    56.3     17.5, 0.33   118.1, 0.28  232.5, 0.37  1944, 1.18
@@ -472,21 +481,64 @@ _INT_KERNEL_MAX_PRIMES = 8
 _BATCH_ENTRIES = 1 << 17
 
 
-def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Ascending integer coefficients of det(x I + M) for a square integer matrix M.
+def _strong_components(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strong components of the digraph i -> j (M[i][j] != 0), each in ascending order.
 
-    The primes' product exceeds twice the coefficient bound, so each
-    coefficient is the residue of least absolute value.  Up to order
-    `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes the
-    Python-int kernel reduces M once modulo that product, or one prime at
-    a time when a pivot vanishes modulo some primes only.  Other matrices
-    take the numpy kernel, all their primes in one batch up to
-    `_BATCH_ENTRIES` residues, else in batches of at most that many.
-    `_crt` combines the residues of each prime.
+    Tarjan's algorithm with an explicit path, so no recursion limit applies
+    whatever the order of M.  Each vertex reads its successors through one
+    `compress` iterator, which resumes where it stopped when the search
+    returns to the vertex.  A self-loop i -> i is read but changes nothing.
     """
     n = len(matrix)
-    if n == 0:
-        return [1]
+    succ = [compress(range(n), row) for row in matrix]
+    # 0 while unvisited, then the discovery number from 1, then n + 1 once
+    # the vertex's component is popped, so that no later arc lowers a link
+    num = [0] * n
+    low = [0] * n
+    at = [0] * n  # each vertex's place on the stack
+    stack: list[int] = []
+    blocks: list[list[int]] = []
+    done = n + 1
+    count = 0
+    for root in range(n):
+        if num[root]:
+            continue
+        count += 1
+        num[root] = low[root] = count
+        at[root] = len(stack)
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            link = low[v]
+            for w in succ[v]:
+                seen = num[w]
+                if not seen:  # descend into w; v resumes at its next successor
+                    low[v] = link
+                    count += 1
+                    num[w] = low[w] = count
+                    at[w] = len(stack)
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if seen < link:
+                    link = seen
+            else:
+                path.pop()
+                if link == num[v]:  # v roots a component: pop it
+                    block = stack[at[v]:]
+                    del stack[at[v]:]
+                    for w in block:
+                        num[w] = done
+                    blocks.append(sorted(block))
+                elif link < low[path[-1]]:
+                    low[path[-1]] = link
+    return blocks
+
+
+def _irreducible_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """`shifted_det_coeffs` on one block: the bound, the primes and a kernel for the whole of M."""
+    n = len(matrix)
     primes = _primes_above(2 * _coefficient_bound(matrix))
     if n <= _INT_KERNEL_MAX_ORDER and len(primes) <= _INT_KERNEL_MAX_PRIMES:
         modulus = prod(primes)
@@ -506,6 +558,48 @@ def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
         _hessenberg_mod(h, batch)
         residues[lo:lo + step] = _hessenberg_charpolys(h, batch)
     return _crt(residues, primes)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Ascending integer coefficients of the product of two polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Ascending integer coefficients of det(x I + M) for a square integer matrix M.
+
+    Ordered by its strong components, M is block triangular, so the
+    determinant is the product of those of its diagonal blocks.  A 1 x 1
+    block [m] gives x + m.  Each larger block gets its own coefficient
+    bound, and primes whose product exceeds twice it, so each coefficient
+    is the residue of least absolute value.  Up to order
+    `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes the
+    Python-int kernel reduces the block once modulo that product, or one
+    prime at a time when a pivot vanishes modulo some primes only.  Other
+    blocks take the numpy kernel, all their primes in one batch up to
+    `_BATCH_ENTRIES` residues, else in batches of at most that many.
+    `_crt` combines the residues of each prime.
+    """
+    if not len(matrix):
+        return [1]
+    blocks = _strong_components(matrix)
+    if len(blocks[0]) == len(matrix) > 1:  # M is one block
+        return _irreducible_det_coeffs(matrix)
+    coeffs = [1]
+    zeros = 0  # 1 x 1 blocks [0], each a factor x
+    for block in blocks:
+        if len(block) > 1:
+            coeffs = _convolve(coeffs, _irreducible_det_coeffs(_principal(matrix, block)))
+        elif matrix[block[0]][block[0]]:
+            coeffs = _convolve(coeffs, [matrix[block[0]][block[0]], 1])
+        else:
+            zeros += 1
+    return [0] * zeros + coeffs
 
 
 def _exact_quotient(num: list[int], den: list[int]) -> list[int]:

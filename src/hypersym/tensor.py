@@ -310,8 +310,9 @@ def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = True
 
     Unique row i is ``rows[first[i]]``, its first occurrence, and row t is
     unique row ``inverse[t]`` (if asked for).  Each row compares as one
-    int64, its digits in base n + 1, when (n + 1)**r fits in one; else
-    numpy compares whole rows.
+    int64, its digits in base n + 1, when (n + 1)**r fits in one; else as
+    one void of its big-endian int64 bytes, whose byte order is the
+    lexicographic order of nonnegative rows.
     """
     m, r = rows.shape
     narrow = r * n.bit_length() <= 63  # (n + 1)**r fits in an int64
@@ -321,8 +322,10 @@ def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = True
     if m < 2 or narrow and (code[1:] > code[:-1]).all():
         first = np.arange(m)
         return rows, first, first if return_inverse else None
-    _, first, *inverse = np.unique(code, axis=None if narrow else 0,
-                                   return_index=True, return_inverse=return_inverse)
+    if not narrow:
+        code = np.ascontiguousarray(rows, dtype=">i8").view(f"V{8 * r}").reshape(m)
+    # the stable sort behind return_index keeps each row's first occurrence
+    _, first, *inverse = np.unique(code, return_index=True, return_inverse=return_inverse)
     return rows[first], first, inverse[0].reshape(-1) if inverse else None
 
 

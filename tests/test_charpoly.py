@@ -38,10 +38,12 @@ from hypersym.resultants import (
     DegenerateNode,
     _charpoly_ints,
     _coefficient_bound,
+    _convolve,
     _hessenberg_charpolys,
     _hessenberg_mod,
     _negated_residues,
     _primes_above,
+    _strong_components,
     det_fractions,
     interpolate,
     macaulay_matrix,
@@ -259,9 +261,9 @@ class TestCharpolyTensor:
         for _ in range(8):
             n = rng.randint(1, 3)
             a = random_tensor(rng, n, 2, density=0.7)
-            scale, items = _cleared(a)
+            scale, keys, values = _cleared(a)
             forms = [{} for _ in range(n)]
-            for (i, j), v in items:
+            for (i, j), v in zip(keys.tolist(), values.tolist()):
                 key = tuple(int(k == j) for k in range(1, n + 1))
                 forms[i - 1][key] = forms[i - 1].get(key, 0) + v
             engine = _scaled(shifted_resultant_coeffs(forms, [1] * n), scale)
@@ -707,8 +709,126 @@ class TestEngine:
         assert peak < 6 * 8 * (n + 1) ** 2
 
     def test_contract_matrices_run_in_one_batch(self, rng, monkeypatch):
+        blocks = []
+        irreducible = resultants._irreducible_det_coeffs
+
+        def recorded(m):
+            blocks.append(m)
+            return irreducible(m)
+
+        monkeypatch.setattr(resultants, "_irreducible_det_coeffs", recorded)
         batches = record_batches(monkeypatch)
         # r = 5 at n = 3, the largest Macaulay matrix of the contract: order 66
         charpoly_tensor(random_tensor(rng, 3, 5, density=0.8, lo=-3, hi=3))
-        orders = [n for _, n in batches]
-        assert 66 in orders and len(orders) == len(set(orders))
+        # each block that the numpy kernel takes runs all its primes in one batch
+        numpy_blocks = []
+        for m in blocks:
+            k = len(_primes_above(2 * _coefficient_bound(m)))
+            if len(m) > _INT_KERNEL_MAX_ORDER or k > _INT_KERNEL_MAX_PRIMES:
+                numpy_blocks.append((k, len(m)))
+        assert batches == numpy_blocks
+        assert max(n for _, n in numpy_blocks) == max(map(len, blocks)) > 30
+
+
+# ---------------------------------------------------------------------------
+# the engine block by block over strong components
+# ---------------------------------------------------------------------------
+
+# the kinds of a planted diagonal block: its order and its entries
+BLOCK_KINDS = {
+    "one": (st.just(1), st.integers(-9, 9)),
+    "zero": (st.integers(1, 4), st.just(0)),
+    "small": (st.integers(2, 6), st.integers(-4, 4)),
+    "huge": (st.integers(2, 4), st.integers(-4 * HUGE, 4 * HUGE)),
+    # past the Python-int kernel's order bound: the numpy kernel
+    "numpy": (st.integers(_INT_KERNEL_MAX_ORDER + 1, _INT_KERNEL_MAX_ORDER + 4),
+              st.sampled_from([-2, -1, 0, 1, 3])),
+}
+
+
+@st.composite
+def planted_block_triangular(draw):
+    """(P M P^T, the diagonal blocks of M, P as a list): M is block upper
+    triangular with blocks of every kind, and the permutation P hides the shape."""
+    kinds = draw(st.lists(st.sampled_from(sorted(BLOCK_KINDS)), min_size=1, max_size=5))
+    if kinds.count("numpy") > 1:
+        kinds = [k for k in kinds if k != "numpy"] + ["numpy"]
+    blocks = []
+    for kind in kinds:
+        size, entry = BLOCK_KINDS[kind]
+        k = draw(size)
+        blocks.append([[draw(entry) for _ in range(k)] for _ in range(k)])
+    n = sum(map(len, blocks))
+    above = draw(st.sampled_from([0, 1, -5, 2**70]))
+    m = [[0] * n for _ in range(n)]
+    lo = 0
+    for block in blocks:
+        k = len(block)
+        for i in range(k):
+            m[lo + i][lo:lo + k] = block[i]
+            for j in range(lo + k, n):  # above the block: anything
+                m[lo + i][j] = draw(st.sampled_from([0, 0, 1, -3, above]))
+        lo += k
+    perm = draw(st.permutations(range(n)))
+    hidden = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            hidden[perm[i]][perm[j]] = m[i][j]
+    return hidden, blocks, perm
+
+
+class TestStrongComponents:
+    @ENGINE
+    @given(planted_block_triangular())
+    def test_planted_blocks_multiply(self, case):
+        m, blocks, perm = case
+        n = len(m)
+        want = [1]
+        for block in blocks:
+            want = _convolve(want, shifted_det_coeffs(block))
+        got = shifted_det_coeffs(m)
+        assert got == want
+        # every component lies inside one planted block, and together they
+        # cover each vertex once
+        planted = [b for b, block in enumerate(blocks) for _ in block]
+        owner = {perm[i]: b for i, b in enumerate(planted)}
+        found = _strong_components(m)
+        assert sorted(v for c in found for v in c) == list(range(n))
+        assert all(len({owner[v] for v in c}) == 1 for c in found)
+        p = UniPoly(got)
+        for lam in (-2, 1):
+            shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(lam)) == det_fractions(shifted)
+
+    @pytest.mark.parametrize("n", [2, 7, _INT_KERNEL_MAX_ORDER + 3])
+    def test_strongly_connected_stays_one_block(self, monkeypatch, n):
+        rng = random.Random(n)
+        # a cycle through every vertex, then sparse entries anywhere
+        m = [[rng.choice((0, 0, 0, 2, -1)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][(i + 1) % n] = rng.choice((1, -2, 5))
+        assert _strong_components(m) == [list(range(n))]
+        seen = []
+        irreducible = resultants._irreducible_det_coeffs
+        monkeypatch.setattr(resultants, "_irreducible_det_coeffs",
+                            lambda b: seen.append(b) or irreducible(b))
+        p = UniPoly(shifted_det_coeffs(m))
+        assert seen == [m]
+        for lam in (-1, 3):
+            shifted = [[(lam if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
+            assert p(Fraction(lam)) == det_fractions(shifted)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_zero_matrix_gives_a_power_of_mu(self, n):
+        assert shifted_det_coeffs([[0] * n for _ in range(n)]) == [0] * n + [1]
+
+    def test_long_paths_need_no_recursion(self):
+        # a path 1 -> 2 -> ... -> n searched depth first is n deep, past
+        # Python's default recursion limit; each vertex is its own component
+        n = 1500
+        m = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            m[i][i + 1] = 1
+        assert shifted_det_coeffs(m) == [0] * n + [1]
+        m[n - 1][0] = 1  # closed into one cycle: one component
+        assert _strong_components(m) == [list(range(n))]

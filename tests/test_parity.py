@@ -484,6 +484,23 @@ class TestPrimePowerElimination:
             assert all((sum(a * v for a, v in zip(row, x)) - b) % mod == 0
                        for row, b in zip(rows, rhs))
 
+    @PROPERTY
+    @given(data=st.data(), modulus=st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    def test_back_substitution_reads_pivot_columns_only(self, data, modulus):
+        # wide sparse systems over Z/4, Z/8 and Z/9: most columns are not
+        # pivots, and the oracle sums each pivot row over all of them
+        p, e = modulus
+        mod = p ** e
+        ncols = data.draw(st.integers(1, 40))
+        entry = st.sampled_from([0] * 6 + list(range(1, mod)))
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  max_size=12))
+        rhs = data.draw(st.lists(st.integers(0, mod - 1), min_size=len(rows),
+                                 max_size=len(rows)))
+        got = _solve_mod_prime_power(np.array(rows, dtype=np.int64).reshape(len(rows), ncols),
+                                     np.array(rhs, dtype=np.int64), p, e)
+        assert got == oracle_solve_mod_prime_power(rows, rhs, ncols, p, e)
+
     def test_both_refutations_are_reached(self):
         four = _solve_mod_prime_power(np.array([[2]]), np.array([1]), 2, 2)
         assert four == ("unsat", "pivot equation needs 1 divisible by 2 (mod 4)")

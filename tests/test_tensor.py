@@ -33,7 +33,7 @@ from hypersym import (
     polynomial_form,
 )
 from hypersym.jsonio import dumps_canonical, parse_tensor_or_graph
-from hypersym.tensor import parse_value
+from hypersym.tensor import _unique_rows, parse_value
 
 from conftest import random_symmetric_tensor, random_tensor
 
@@ -732,3 +732,19 @@ class TestArrayStorage:
     @given(storage_documents(rs=st.just(16), ns=st.integers(9, 12)))
     def test_wide_rows_match_dict_oracle(self, case):
         _assert_matches_dict_oracle(*case)
+
+    # rows of r indices in 1..n, with repeats, on both sides of the int64 code
+    # (r * bit_length(n) <= 63): (unique, first, inverse) against sorted tuples
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), r=st.integers(1, 40), n=st.integers(1, 3000))
+    def test_unique_rows_match_sorted_tuples(self, data, r, n):
+        pool = data.draw(st.lists(st.lists(st.integers(1, n), min_size=r, max_size=r),
+                                  min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+        rows = [tuple(pool[i]) for i in picks]
+        unique, first, inverse = _unique_rows(
+            np.array(rows, dtype=np.int64).reshape(len(rows), r), n)
+        want = sorted(set(rows))
+        assert list(map(tuple, unique.tolist())) == want
+        assert first.tolist() == [rows.index(row) for row in want]
+        assert [want[i] for i in inverse.tolist()] == rows
