@@ -14,7 +14,8 @@ monic, so the division is exact and there are no evaluation nodes.
 by block: ordered by the strong components of the digraph i -> j
 (M[i][j] != 0, Tarjan 1972), M is block triangular, so det(x I + M) is
 the product of its diagonal blocks'.  A Macaulay matrix often splits into
-one large block and many small ones.  A 1 x 1 block [m] is x + m; a
+one large block and many small ones.  A 1 x 1 block [m] is x + m, a
+2 x 2 block [[a, b], [c, d]] is x^2 + (a + d) x + (ad - bc), and a
 larger one takes the characteristic polynomial of minus the block modulo
 word-size primes through a Hessenberg reduction and combines the residues
 by the Chinese remainder theorem once the product of the primes exceeds
@@ -537,8 +538,14 @@ def _strong_components(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _irreducible_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """`shifted_det_coeffs` on one block: the bound, the primes and a kernel for the whole of M."""
+    """`shifted_det_coeffs` on one block: the bound, the primes and a kernel for the whole of M.
+
+    A 2 x 2 M, one block or not, takes its closed form instead.
+    """
     n = len(matrix)
+    if n == 2:  # x^2 + (a + d) x + (ad - bc)
+        (a, b), (c, d) = matrix
+        return [a * d - b * c, a + d, 1]
     primes = _primes_above(2 * _coefficient_bound(matrix))
     if n <= _INT_KERNEL_MAX_ORDER and len(primes) <= _INT_KERNEL_MAX_PRIMES:
         modulus = prod(primes)
@@ -575,18 +582,21 @@ def shifted_det_coeffs(matrix: Sequence[Sequence[int]]) -> list[int]:
 
     Ordered by its strong components, M is block triangular, so the
     determinant is the product of those of its diagonal blocks.  A 1 x 1
-    block [m] gives x + m.  Each larger block gets its own coefficient
-    bound, and primes whose product exceeds twice it, so each coefficient
-    is the residue of least absolute value.  Up to order
-    `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes the
-    Python-int kernel reduces the block once modulo that product, or one
-    prime at a time when a pivot vanishes modulo some primes only.  Other
+    block [m] gives x + m.  A 2 x 2 block gives x^2 + (a + d) x + (ad - bc),
+    and so does a whole 2 x 2 M, with no component search.  Each larger
+    block gets its own coefficient bound, and primes whose product exceeds
+    twice it, so each coefficient is the residue of least absolute value.
+    Up to order `_INT_KERNEL_MAX_ORDER` and `_INT_KERNEL_MAX_PRIMES` primes
+    the Python-int kernel reduces the block once modulo that product, or
+    one prime at a time when a pivot vanishes modulo some primes only.  Other
     blocks take the numpy kernel, all their primes in one batch up to
     `_BATCH_ENTRIES` residues, else in batches of at most that many.
     `_crt` combines the residues of each prime.
     """
     if not len(matrix):
         return [1]
+    if len(matrix) == 2:  # one block or two, one closed form: no components to find
+        return _irreducible_det_coeffs(matrix)
     blocks = _strong_components(matrix)
     if len(blocks[0]) == len(matrix) > 1:  # M is one block
         return _irreducible_det_coeffs(matrix)

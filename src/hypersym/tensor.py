@@ -415,6 +415,9 @@ def _parse_interned(objs: list) -> tuple[list[ExactComplex], np.ndarray]:
 # largest benchmark graph has 30,054 pairs, so it still takes one scatter.
 _ARC_CHUNK = 1 << 16
 
+_PAST_FLOAT = ("F has a coefficient past the float range: a tail of {} "
+               "indices with more orderings than a float holds")
+
 
 class CubicalTensor:
     """Order-``n`` hypermatrix with ``r`` indices, stored sparsely.
@@ -665,7 +668,10 @@ class CubicalTensor:
         storage has one row per distinct head k of each orbit, whose tail is
         the orbit with one k removed.  It weighs the orbit's value times its
         tail's orderings, count * m_k / r: one exact int division per
-        (class, m_k).
+        (class, m_k).  When every orbit has r distinct indices, as every
+        `Hypergraph`'s has, the rows are read straight from the stored
+        ones: row (o, k) has head keys[o, k] and weight value * (r - 1)!,
+        the same float as count * m_k / r with count = r! and m_k = 1.
         """
         keys, where, distinct = self._arrays
         keys = (keys - 1).astype(np.intp, copy=False)
@@ -674,6 +680,19 @@ class CubicalTensor:
         if not self._by_orbit or not len(vals):  # no orbits: no rows either way
             return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), vals
         r = self.r
+        if (keys[:, 1:] != keys[:, :-1]).all():  # sorted rows: no index repeats
+            try:
+                weight = float(factorial(r - 1))
+            except OverflowError:
+                raise ValueError(_PAST_FLOAT.format(r - 1)) from None
+            # the tail of row (o, k) is keys[o] without column k, one tail
+            # column at a time, so that no (m, r, r - 1) array is built
+            tails = np.empty((r - 1, keys.size), dtype=np.intp)
+            for c in range(r - 1):
+                by_head = tails[c].reshape(-1, r)
+                by_head[:, :c + 1] = keys[:, c + 1:c + 2]
+                by_head[:, c + 1:] = keys[:, c:c + 1]
+            return keys.ravel(), tails, np.repeat(vals * weight, r)
         starts, mult = self._pattern_runs()  # the orbits are the patterns
         source, pos = np.divmod(starts, r)
         # each row without its column pos, one tail column at a time, so
@@ -691,8 +710,7 @@ class CubicalTensor:
             for code in present.nonzero()[0].tolist():
                 weight[code] = counts[code // width] * (code % width) / r
         except OverflowError:  # the int quotient is past the float range
-            raise ValueError(f"F has a coefficient past the float range: a tail of {r - 1} "
-                             "indices with more orderings than a float holds") from None
+            raise ValueError(_PAST_FLOAT.format(r - 1)) from None
         return flat[starts], tails, vals[source] * weight[pair]
 
     @_once
@@ -908,9 +926,15 @@ def _depths(arcs: np.ndarray, start: int) -> np.ndarray:
 
 
 def is_weakly_irreducible(a: CubicalTensor) -> bool:
-    """True iff the associated digraph is strongly connected."""
+    """True iff the associated digraph is strongly connected.
+
+    That is, vertex 1 reaches every vertex and every vertex reaches it.  An
+    orbit-stored tensor has an arc each way between every two indices of a
+    row, so its arc matrix is symmetric and one breadth-first search decides.
+    """
     arcs = a._arcs()
-    return bool((_depths(arcs, 0) >= 0).all() and (_depths(arcs.T, 0) >= 0).all())
+    reached = (_depths(arcs, 0) >= 0).all()
+    return bool(reached and (a._by_orbit or (_depths(arcs.T, 0) >= 0).all()))
 
 
 @dataclass(frozen=True)

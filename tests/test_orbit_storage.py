@@ -220,6 +220,54 @@ def test_connectivity_matches_two_section(g):
     assert is_connected(g) == nx.is_connected(section)
 
 
+@st.composite
+def orbits_in_parts(draw):
+    """(r, n, orbits): multisets drawn inside the parts of a random vertex partition.
+
+    Keys repeat indices and include loops (k, ..., k); a part may hold no
+    key, so its vertices are isolated, or a path through all its vertices,
+    so it is connected; several parts that hold keys make the tensor
+    disconnected.
+    """
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    parts = draw(st.integers(1, 3))
+    part = draw(st.lists(st.integers(0, parts - 1), min_size=n, max_size=n))
+    orbits = {}
+    for p in sorted(set(part)):
+        vertices = [v for v in range(1, n + 1) if part[v - 1] == p]
+        keys = list(combinations_with_replacement(vertices, r))
+        for key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+            orbits[tuple(draw(st.permutations(key)))] = draw(st.integers(1, 3))
+        if draw(st.booleans()):  # a path through the part: the part is connected
+            for u, v in zip(vertices, vertices[1:]):
+                orbits[(u,) * (r - 1) + (v,)] = 1
+        if draw(st.booleans()):
+            loop = draw(st.sampled_from(vertices))
+            orbits[(loop,) * r] = 1
+    return r, n, orbits
+
+
+@PROPERTY
+@example((2, 1, {}))
+@example((3, 3, {(1, 1, 2): 1}))
+@example((2, 2, {(1, 1): 1, (2, 2): 1}))
+@given(orbits_in_parts())
+def test_weak_irreducibility_agrees_across_storage_and_networkx(data):
+    # orbit storage decides with one breadth-first search, tuple storage
+    # with two; networkx reads the successor map
+    nx = pytest.importorskip("networkx")
+    r, n, orbits = data
+    a = CubicalTensor.from_orbits(r, n, orbits)
+    tuples = CubicalTensor(r, n, a.entries.items())
+    assert a._by_orbit and not tuples._by_orbit
+    g = nx.DiGraph()
+    g.add_nodes_from(range(1, n + 1))
+    g.add_edges_from((k, j) for k, succ in digraph(a).items() for j in succ)
+    assert digraph(tuples) == digraph(a)
+    assert is_weakly_irreducible(a) == is_weakly_irreducible(tuples) == nx.is_strongly_connected(g)
+
+
 def _distinct_orderings(key) -> int:
     """r!/prod(m_i!) for an index multiset."""
     return factorial(len(key)) // prod(map(factorial, Counter(key).values()))
@@ -236,24 +284,36 @@ def orbit_storage_inputs(draw):
     """(r, n, edges, items, expected): a Hypergraph or from_orbits input and its dict oracle.
 
     ``from_orbits`` gets multisets in any vertex order, repeated ones, and
-    pairs that cancel to zero; ``Hypergraph`` gets repeated edges in any
-    vertex order.  Exactly one of ``edges`` and ``items`` is not None.
-    ``expected`` maps each sorted multiset to its value.
+    pairs that cancel to zero: either multisets with repeated indices, or
+    complex values on sets of r distinct indices, whose kernel is read
+    straight from the stored rows, as a ``Hypergraph``'s is.  ``Hypergraph``
+    gets repeated edges in any vertex order, up to r = 8.  Exactly one of
+    ``edges`` and ``items`` is not None.  ``expected`` maps each sorted
+    multiset to its value.
     """
-    r = draw(st.integers(2, 5))
-    if draw(st.booleans()):
-        n = draw(st.integers(r, 7))
+    kind = draw(st.sampled_from(["hypergraph", "multisets", "distinct"]))
+    r = draw(st.integers(2, 5 if kind == "multisets" else 8))
+    # the twin below expands every edge into r! tuples: few edges past r = 5
+    most = 3 if r > 5 else 8 if kind == "multisets" else 12
+    if kind == "hypergraph":
+        n = draw(st.integers(r, max(7, r + 3)))
         edges = draw(st.lists(st.sampled_from(list(combinations(range(1, n + 1), r))),
-                              max_size=12))
+                              max_size=most))
         edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
         edges = [tuple(draw(st.permutations(e))) for e in draw(st.permutations(edges))]
         expected = dict.fromkeys(sorted({tuple(sorted(e)) for e in edges}), ExactComplex(1))
         return r, n, edges, None, expected
-    n = draw(st.integers(1, 4))
-    keys = list(combinations_with_replacement(range(1, n + 1), r))
+    if kind == "multisets":
+        n = draw(st.integers(1, 4))
+        keys = list(combinations_with_replacement(range(1, n + 1), r))
+        imag = st.sampled_from([0, 0, 1, -2])
+    else:
+        n = draw(st.integers(r, max(7, r + 3)))
+        keys = list(combinations(range(1, n + 1), r))
+        imag = st.sampled_from([1, -2, 3])
     items = []
-    for key in draw(st.lists(st.sampled_from(keys), max_size=8)):
-        value = ExactComplex(draw(small), draw(st.sampled_from([0, 0, 1, -2])))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=most)):
+        value = ExactComplex(draw(small), draw(imag))
         items.append((key, value))
         if draw(st.booleans()):  # a cancelling or a repeated value on the same multiset
             items.append((key, -value if draw(st.booleans()) else value))
@@ -269,6 +329,12 @@ def orbit_storage_inputs(draw):
 @PROPERTY
 @example((2, 3, [], None, {}))
 @example((3, 2, None, [((2, 1, 1), 1), ((1, 1, 2), -1)], {}))
+@example((8, 10, [(8, 1, 2, 3, 4, 5, 6, 7), (10, 9, 3, 4, 5, 6, 7, 8)], None,
+          dict.fromkeys([(1, 2, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 9, 10)], ExactComplex(1))))
+@example((8, 9, None, [((9, 1, 2, 3, 4, 5, 6, 7), ExactComplex(2, -1)),
+                       ((1, 2, 3, 4, 6, 7, 8, 9), ExactComplex(-3, 1))],
+          {(1, 2, 3, 4, 5, 6, 7, 9): ExactComplex(2, -1),
+           (1, 2, 3, 4, 6, 7, 8, 9): ExactComplex(-3, 1)}))
 @given(orbit_storage_inputs())
 def test_orbit_arrays_match_dict_oracle(case):
     r, n, edges, items, expected = case
