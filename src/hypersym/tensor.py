@@ -12,9 +12,9 @@ each orbit's exact number of orderings, the digraph's arc matrix and the
 float kernel are computed from those arrays; one dict of the rows is built
 only when ``entries`` or ``entry`` asks for it.  Each of these structures
 has one builder: the arc matrix reads the stored rows, and only the float
-kernel expands an orbit into one row per head.  A tensor document's values
-are interned: each distinct raw value is parsed once, and the entries that
-carry it share one immutable ExactComplex, so predicates and float
+kernel expands an orbit into one row per head.  Every constructor parses
+each distinct raw value once by one rule, ``parse_value``, and stores one
+immutable ExactComplex per distinct value, so predicates and float
 conversions run once per distinct value.  Values degrade to floating point
 only inside iterative numerics, which all read one float kernel cached on
 the tensor.
@@ -31,7 +31,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from math import factorial, prod
 from operator import itemgetter, mul
 from types import MappingProxyType
@@ -42,12 +42,35 @@ import numpy as np
 Scalar = Union[int, float, complex, Fraction, str, "ExactComplex"]
 
 
+# The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _check_exponent(part, obj) -> None:
+    """Reject a str with a decimal exponent past the int/str digit limit (0: no limit).
+
+    Fraction builds 10**exponent, which for "1e999999999" runs for hours.
+    The limit is the one Python applies to integer strings.
+    """
+    m = isinstance(part, str) and _EXPONENT.search(part)
+    if not m:
+        return
+    # Python before 3.10.7 has no such limit: use the default of later versions
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+    digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
+        raise ValueError(f"tensor value {obj!r} has a decimal exponent beyond "
+                         f"{limit} in magnitude")
+
+
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
+        _check_exponent(re, re)
+        _check_exponent(im, im)
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
@@ -59,9 +82,8 @@ class ExactComplex:
         if isinstance(value, ExactComplex):
             return value
         if isinstance(value, complex):
-            return cls(Fraction(value.real), Fraction(value.imag))
-        # int, float, Fraction, "p/q" string
-        return cls(Fraction(value))
+            return cls(value.real, value.imag)
+        return cls(value)  # int, float, Fraction, "p/q" string
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: Scalar) -> "ExactComplex":
@@ -179,38 +201,22 @@ def encode_value(v: ExactComplex) -> str | list:
     return [_encode_component(v.re), _encode_component(v.im)]
 
 
-# The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _check_exponent(part: str, obj) -> None:
-    """Reject a decimal exponent past the int/str digit limit (0: no limit).
-
-    Fraction builds 10**exponent, which for "1e999999999" runs for hours.
-    The limit is the one Python applies to integer strings.
-    """
-    # Python before 3.10.7 has no such limit: use the default of later versions
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
-    m = _EXPONENT.search(part)
-    if m is None or not limit:
-        return
-    digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
-    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
-        raise ValueError(f"tensor value {obj!r} has a decimal exponent beyond "
-                         f"{limit} in magnitude")
-
-
 def parse_value(obj) -> ExactComplex:
-    """Parse an entry value: a number, a "p/q" string, or a [re, im] pair."""
-    parts = obj if isinstance(obj, (list, tuple)) else (obj, 0)
+    """Parse an entry value: a number, a "p/q" string, or a [re, im] pair.
+
+    The one rule of every constructor; it also takes an ExactComplex, Fraction or complex.
+    """
+    if isinstance(obj, ExactComplex):
+        return obj
+    parts = ((obj.real, obj.imag) if isinstance(obj, complex)
+             else obj if isinstance(obj, (list, tuple)) else (obj, 0))
     if len(parts) != 2:
         raise ValueError(f"complex value must be a [re, im] pair, got {obj!r}")
     for part in parts:
         # a bool is an int, but not a tensor value
-        if isinstance(part, bool) or not isinstance(part, (int, float, str)):
+        if isinstance(part, bool) or not isinstance(part, (int, float, str, Fraction)):
             raise ValueError(f"cannot parse tensor value {obj!r}")
-        if isinstance(part, str):
-            _check_exponent(part, obj)
+        _check_exponent(part, obj)
     try:
         return ExactComplex(*parts)
     except OverflowError:  # an infinite float
@@ -285,23 +291,33 @@ def _index_array(r: int, n: int, indices: list, fault=_check_indices) -> np.ndar
     return keys
 
 
-def _collect(items: Iterable[tuple[Sequence[int], Scalar]], r: int,
-             n: int) -> tuple[np.ndarray, list[int], list[ExactComplex]]:
-    """Index array, value places and distinct values of (index, value) items; first fault first."""
+def _collect(r: int, n: int, entries, by_orbit: bool
+             ) -> tuple[np.ndarray, np.ndarray, list[ExactComplex]]:
+    """Array storage of (index, value) items, rows sorted if ``by_orbit``; first fault first."""
+    _check_shape(r, n)
+    items = entries.items() if isinstance(entries, Mapping) else entries
     indices: list[Index] = []
-    values: list[ExactComplex] = []
+    objs: list = []
     for item in items:
         try:
             idx, value = item
             indices.append(tuple(idx))
-            values.append(ExactComplex.coerce(value))
         except (TypeError, ValueError):
             _check_indices(indices, r, n)  # a bad tuple up to here is the first fault
             raise
-    place: dict[int, int] = {}  # equal objects are stored once
-    where = [place.setdefault(id(v), len(place)) for v in values]
-    distinct = list({id(v): v for v in values}.values())
-    return _index_array(r, n, indices), where, distinct
+        objs.append(value)
+    try:
+        values, where = _parse_interned(objs)
+    except ValueError:
+        for t, obj in enumerate(objs):  # a bad tuple up to the first bad value comes first
+            try:
+                parse_value(obj)
+            except ValueError:
+                _check_indices(indices[:t + 1], r, n)
+                break
+        raise
+    keys = _index_array(r, n, indices)
+    return _array_storage(np.sort(keys, axis=1) if by_orbit else keys, n, where, values)
 
 
 def _unique_rows(rows: np.ndarray, n: int, return_inverse: bool = True
@@ -336,10 +352,10 @@ def _array_storage(keys: np.ndarray, n: int, where,
     Row t of the int64 array ``keys`` is an index row in 1..n (a tuple, or
     a sorted multiset for orbit storage) with the value
     ``values[where[t]]``.  The storage holds the distinct rows in
-    lexicographic order, as ``_unique_rows`` finds them, the values they
-    carry, each object once, and each row's place among those values.
-    Equal rows sum into one new value, in their given order; exact zeros
-    are pruned.
+    lexicographic order, as ``_unique_rows`` finds them, and each row's
+    place in ``distinct``.  Equal rows sum into one new value, in their
+    given order; exact zeros are pruned.  Then ``distinct`` keeps one
+    object per value that a row carries: equal places are equal values.
     """
     given = np.asarray(where, dtype=np.intp)
     keys, first, inverse = _unique_rows(keys, n)
@@ -356,12 +372,11 @@ def _array_storage(keys: np.ndarray, n: int, where,
     if not all(values):
         keep = np.fromiter(map(bool, values), dtype=bool, count=len(values))[where]
         keys, where = keys[keep], where[keep]
-    used = np.zeros(len(values), dtype=bool)
-    used[where] = True
-    if not used.all():
-        where = (np.cumsum(used, dtype=np.intp) - 1)[where]
-        values = list(compress(values, used.tolist()))
-    return keys, where, values
+    kept = np.flatnonzero(np.bincount(where, minlength=len(values)))
+    place: dict[ExactComplex, int] = {}  # each value's first object, merged by value
+    remap = np.zeros(len(values), dtype=np.intp)
+    remap[kept] = [place.setdefault(values[i], len(place)) for i in kept.tolist()]
+    return keys, remap[where], list(place)
 
 
 def _once(method):
@@ -431,8 +446,9 @@ class CubicalTensor:
     given tuples.  ``from_orbits`` builds a symmetric tensor from one value
     per index multiset and stores the sorted multisets, with ``_by_orbit``
     set; its read-only ``entries`` expands them when first iterated.  Both
-    forms compare and hash alike.  Every constructor dedupes and sorts the
-    rows through ``_array_storage``, or through ``_unique_rows`` directly.
+    forms compare and hash alike.  Every constructor parses values by one
+    rule, ``parse_value``, as documents are, and dedupes and sorts the rows
+    through ``_array_storage``, which keeps one object per distinct value.
     Derived data (symmetry, support patterns, ordering counts, the digraph's
     arc matrix, the float kernel of F) is computed on first use and kept in
     ``_cache``, which equality and hashing ignore.
@@ -442,10 +458,7 @@ class CubicalTensor:
 
     def __init__(self, r: int, n: int,
                  entries: Mapping[Sequence[int], Scalar] | Iterable[tuple[Sequence[int], Scalar]] = ()):
-        _check_shape(r, n)
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        keys, where, distinct = _collect(items, r, n)
-        self._set(r, n, _array_storage(keys, n, where, distinct), False)
+        self._set(r, n, _collect(r, n, entries, False), False)
 
     @staticmethod
     def _stored(r: int, n: int, arrays, by_orbit: bool) -> "CubicalTensor":
@@ -464,10 +477,7 @@ class CubicalTensor:
         ``orbits`` maps index multisets, in any order, to values; multisets
         given more than once are summed and exact zeros pruned.
         """
-        _check_shape(r, n)
-        items = orbits.items() if isinstance(orbits, Mapping) else orbits
-        keys, where, distinct = _collect(items, r, n)
-        return cls._stored(r, n, _array_storage(np.sort(keys, axis=1), n, where, distinct), True)
+        return cls._stored(r, n, _collect(r, n, orbits, True), True)
 
     def _set(self, r: int, n: int, arrays, by_orbit: bool) -> None:
         arrays[0].flags.writeable = arrays[1].flags.writeable = False
@@ -508,10 +518,10 @@ class CubicalTensor:
         return self._scaled(-1)
 
     def _scaled(self, factor: Scalar) -> "CubicalTensor":
-        """The tensor times a nonzero exact scalar, on the same index rows."""
+        """The tensor times a nonzero exact scalar: same rows, values still nonzero and unequal."""
         keys, where, distinct = self._arrays
-        scaled = _array_storage(keys, self.n, where, [v * factor for v in distinct])
-        return self._stored(self.r, self.n, scaled, self._by_orbit)
+        return self._stored(self.r, self.n, (keys, where, [v * factor for v in distinct]),
+                            self._by_orbit)
 
     def __repr__(self) -> str:
         nnz = self._orbit_tuples() if self._by_orbit else len(self._arrays[0])
@@ -522,13 +532,10 @@ class CubicalTensor:
     def from_matrix(cls, rows: Sequence[Sequence[Scalar]]) -> "CubicalTensor":
         """Build the r=2 tensor from a dense square matrix (list of rows)."""
         n = len(rows)
-        items = []
-        for i, row in enumerate(rows, start=1):
-            if len(row) != n:
-                raise ValueError("matrix rows must all have length n")
-            for j, v in enumerate(row, start=1):
-                items.append(((i, j), v))
-        return CubicalTensor(2, n, items)
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix rows must all have length n")
+        return CubicalTensor(2, n, [((i, j), v) for i, row in enumerate(rows, start=1)
+                                    for j, v in enumerate(row, start=1)])
 
     @_once
     def is_real(self) -> bool:
@@ -590,13 +597,9 @@ class CubicalTensor:
         if self._by_orbit or not len(keys):  # the zero tensor, however large r: no r-wide work
             return self._arrays
         patterns, first, inverse = self._multisets()
-        # equal values may be distinct objects ("1" and 1): compare the place
-        # of the first equal one
-        canon: dict[ExactComplex, int] = {}
-        value_id = np.array([canon.setdefault(v, i) for i, v in enumerate(distinct)],
-                            dtype=np.intp)[where]
-        # no pattern has more distinct orderings stored than it has: all are stored iff they sum up
-        if (value_id != value_id[first][inverse]).any() or self._orbit_tuples() != len(keys):
+        # one stored object per distinct value: equal places are equal values.
+        # No pattern has more distinct orderings stored than it has: all are stored iff they sum up
+        if (where != where[first][inverse]).any() or self._orbit_tuples() != len(keys):
             return None
         return patterns, where[first], distinct
 
@@ -756,8 +759,7 @@ class CubicalTensor:
     def from_json_dict(cls, data: dict) -> "CubicalTensor":
         """Tensor of a JSON document, stored as arrays by the constructor's builder.
 
-        Each distinct raw value is parsed once per document, and the entries
-        that carry it share one ExactComplex.  Of several faults in one
+        Values follow the constructor's rule.  Of several faults in one
         document the one reported is the first malformed record or value,
         else a bad r or n, else the first bad index tuple.
         """
@@ -767,16 +769,13 @@ class CubicalTensor:
             raise ValueError(f"tensor JSON must have keys r, n, entries: {exc}") from exc
         if not isinstance(raw, list):
             raise ValueError("tensor JSON 'entries' must be a list")
-        well_formed = all(map(isinstance, raw, repeat(dict)))
-        if well_formed:
-            try:
-                indices = list(map(_RECORD_INDEX, raw))
-                objs = list(map(_RECORD_VALUE, raw))
-            except KeyError:
-                well_formed = False
-            else:
-                well_formed = all(map(isinstance, indices, repeat(list)))
-        if not well_formed:
+        if not all(map(isinstance, raw, repeat(dict))):
+            _record_fault(raw)
+        try:
+            indices, objs = list(map(_RECORD_INDEX, raw)), list(map(_RECORD_VALUE, raw))
+        except KeyError:
+            _record_fault(raw)
+        if not all(map(isinstance, indices, repeat(list))):
             _record_fault(raw)
         values, where = _parse_interned(objs)
         _check_shape(r, n)

@@ -33,6 +33,7 @@ from hypersym import (
     polynomial_form,
 )
 from hypersym.jsonio import dumps_canonical, parse_tensor_or_graph
+import hypersym.tensor as tensor_module
 from hypersym.tensor import _unique_rows, parse_value
 
 from conftest import random_symmetric_tensor, random_tensor
@@ -564,25 +565,25 @@ class TestJsonIngest:
         with pytest.raises(ValueError, match="cannot parse tensor value True"):
             CubicalTensor.from_json_dict(doc)
 
-    def test_equal_raw_values_share_one_object(self):
+    def test_equal_raw_values_share_one_object(self, monkeypatch):
         doc = {"r": 2, "n": 3, "entries": [
             {"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}, {"i": [1, 3], "v": "1"},
             {"i": [3, 1], "v": 1.0}, {"i": [2, 3], "v": [1, 0]}, {"i": [3, 2], "v": "1"}]}
+        parsed = []
+        monkeypatch.setattr(tensor_module, "parse_value",
+                            lambda obj: parsed.append(obj) or parse_value(obj))
         a = CubicalTensor.from_json_dict(doc)
-        assert a.entry((1, 2)) is a.entry((2, 1))
-        assert a.entry((1, 3)) is a.entry((3, 2))
-        assert a.entry((1, 3)) is not a.entry((1, 2))  # "1" and 1 are parsed apart
-        assert len({id(v) for v in a.entries.values()}) == 4
+        # each distinct raw value is parsed once, "1" and 1 apart ...
+        assert parsed == [1, "1", 1.0, [1, 0]]
+        # ... and the one value they share is stored as one object
+        assert len({id(v) for v in a.entries.values()}) == 1 and len(a._arrays[2]) == 1
         # the values live as long as one call: a second read shares none
         assert CubicalTensor.from_json_dict(doc).entry((1, 2)) is not a.entry((1, 2))
-        # scalars only, with no [re, im] pair: 1, 1.0 and "1" still stay apart
+        # scalars only, with no [re, im] pair: 1, 1.0 and "1" are one stored object too
         scalars = CubicalTensor.from_json_dict({"r": 2, "n": 3, "entries": [
             {"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1.0}, {"i": [1, 3], "v": "1"},
             {"i": [3, 1], "v": 1}, {"i": [2, 3], "v": 1.0}, {"i": [3, 2], "v": "1"}]})
-        assert scalars.entry((1, 2)) is scalars.entry((3, 1))
-        assert scalars.entry((2, 1)) is scalars.entry((2, 3))
-        assert scalars.entry((1, 3)) is scalars.entry((3, 2))
-        assert len({id(v) for v in scalars.entries.values()}) == 3
+        assert len({id(v) for v in scalars.entries.values()}) == 1
         assert scalars == CubicalTensor.from_json_dict(doc) and hs.is_symmetric(scalars)
 
     def test_decimal_exponent_limit(self):
@@ -698,12 +699,16 @@ def _assert_matches_dict_oracle(r, n, records):
             expected.get((k,) * r, (0, 0)) for k in range(1, n + 1)]
         assert [(idx, (v.re, v.im)) for idx, v in (-a).entries.items()] == [
             (idx, (-re, -im)) for idx, (re, im) in expected.items()]
+        _assert_one_object_per_value(a)
+        _assert_one_object_per_value(-a)
+        assert len(a._arrays[2]) == len(set(expected.values()))
         if n > 1:  # every other vertex, renumbered 1, 2, ...
             pos = {v: i for i, v in enumerate(range(1, n + 1, 2), start=1)}
             sub = a.principal_submatrix(list(pos))
             assert [(idx, (v.re, v.im)) for idx, v in sub.entries.items()] == [
                 (tuple(pos[j] for j in idx), value) for idx, value in expected.items()
                 if set(idx) <= set(pos)]
+            _assert_one_object_per_value(sub)
         storage = a._orbit_storage()
         assert is_symmetric(a) == symmetric
         if symmetric:
@@ -748,3 +753,165 @@ class TestArrayStorage:
         assert list(map(tuple, unique.tolist())) == want
         assert first.tolist() == [rows.index(row) for row in want]
         assert [want[i] for i in inverse.tolist()] == rows
+
+
+# The int/str digit limit that decimal exponents are held to; 0 means none.
+DIGIT_LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
+
+
+@st.composite
+def raw_values(draw, in_memory=True):
+    """A raw entry value and whether the value rule refuses it."""
+    lim = DIGIT_LIMIT or 4300
+    kinds = ["int", "float", "bool", "ratio", "decimal", "pair"]
+    kind = draw(st.sampled_from(kinds + ["fraction", "complex", "exact"] * in_memory))
+    if kind == "int":
+        return draw(st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))), False
+    if kind == "float":
+        x = draw(st.one_of(st.sampled_from([0.5, -0.0, 1.0, 1e300]), st.floats()))
+        return x, not math.isfinite(x)
+    if kind == "bool":
+        return draw(st.booleans()), True
+    if kind == "ratio":  # "p/q", and "1/0"
+        p, q = draw(st.integers(-4, 4)), draw(st.integers(0, 4))
+        return f"{p}/{q}", q == 0
+    if kind == "decimal":  # exponents at and past the digit limit, if there is one
+        past = [lim + 1, -lim - 1, 999_999_999] if DIGIT_LIMIT else []
+        e = draw(st.sampled_from([0, 2, -3, lim, -lim, *past]))
+        return f"{draw(st.sampled_from(['1', '-2.5', '0']))}e{e}", abs(e) > lim
+    if kind == "pair":
+        (re_part, re_bad), (im_part, im_bad) = draw(
+            st.tuples(*[raw_values(in_memory=False).filter(lambda v: type(v[0]) is not list)] * 2))
+        return [re_part, im_part], re_bad or im_bad
+    if kind == "fraction":
+        return Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))), False
+    if kind == "complex":
+        z = draw(st.one_of(st.sampled_from([1 + 0j, 0.5j, -1 - 1j]), st.complex_numbers()))
+        return z, not (math.isfinite(z.real) and math.isfinite(z.imag))
+    return ExactComplex(draw(st.integers(-2, 2)), draw(st.integers(-1, 1))), False
+
+
+@st.composite
+def value_rule_cases(draw):
+    """(r, n, items, bad): valid index tuples, raw values from a small pool so that they repeat."""
+    r, n = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    pool = draw(st.lists(raw_values(), min_size=1, max_size=6))
+    index = st.tuples(*[st.integers(1, n)] * r)
+    picks = draw(st.lists(st.tuples(index, st.sampled_from(pool)), max_size=14))
+    return r, n, [(idx, raw) for idx, (raw, _) in picks], [bad for _, (_, bad) in picks]
+
+
+def _assert_one_object_per_value(a: CubicalTensor) -> None:
+    """The storage invariant: the distinct values are pairwise unequal, and each is used."""
+    _keys, where, distinct = a._arrays
+    assert len(set(distinct)) == len(distinct)
+    assert sorted(set(where.tolist())) == list(range(len(distinct)))
+    assert all(distinct)
+
+
+class TestValueRule:
+    """One value rule for the Python constructor and the document reader."""
+
+    @example((2, 2, [((1, 2), 1), ((2, 1), True)], [False, True]))
+    @example((2, 2, [((1, 2), "1e999999999")], [True]))
+    @example((2, 2, [((1, 2), [float("inf"), -0.0]), ((2, 1), [float("inf"), 0.0])], [True, True]))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(value_rule_cases())
+    def test_constructor_and_document_agree(self, case):
+        r, n, items, bad = case
+        built = _ingest(lambda its: CubicalTensor(r, n, its), items)
+        doc = {"r": r, "n": n, "entries": [{"i": list(idx), "v": raw} for idx, raw in items]}
+        read = _ingest(CubicalTensor.from_json_dict, doc)
+        if any(bad):
+            assert isinstance(built, tuple) and built[0] is ValueError  # no OverflowError escapes
+            assert built == read
+            return
+        assert isinstance(built, CubicalTensor) and isinstance(read, CubicalTensor)
+        assert built == read and list(built.entries.items()) == list(read.entries.items())
+        assert [(v.re, v.im) for v in built._arrays[2]] == [(v.re, v.im) for v in read._arrays[2]]
+        for a in (built, read, -built, built._scaled(Fraction(1, 3))):
+            _assert_one_object_per_value(a)
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "cannot parse tensor value True"),
+        (math.inf, "tensor value inf is not finite"),
+        (math.nan, "cannot convert NaN to integer ratio"),
+        ("1/0", "tensor value '1/0' has a zero denominator"),
+        ([1, "2/0"], "tensor value [1, '2/0'] has a zero denominator"),
+        (f"1e{DIGIT_LIMIT + 1}", f"tensor value '1e{DIGIT_LIMIT + 1}' has a decimal exponent"),
+        (complex(0, math.inf), "tensor value infj is not finite"),
+    ])
+    def test_constructor_refuses_as_documents_do(self, value, text):
+        if not DIGIT_LIMIT and "exponent" in text:
+            pytest.skip("the int/str digit limit is off")
+        for build in (lambda: CubicalTensor(2, 2, [((1, 2), value)]),
+                      lambda: CubicalTensor.from_orbits(2, 2, {(1, 2): value}),
+                      lambda: CubicalTensor.from_matrix([[0, value], [1, 0]])):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value).startswith(text)
+
+    def test_first_fault_first(self):
+        value_fault = "cannot parse tensor value True"
+        index_fault = "index 3 out of range 1..2 in (1, 3)"
+        cases = [([((1, 3), 1), ((1, 2), True)], index_fault),
+                 ([((1, 2), True), ((1, 3), 1)], value_fault),
+                 ([((1, 3), True)], index_fault),  # one item: its tuple comes first
+                 ([((1, 2), 1), ((1, 3), 2), ((2, 1), True), ((2, 1), 1)], index_fault),
+                 ([((1, 2), True), ((1, 2), 1), ((1, 3), 2)], value_fault)]
+        for items, text in cases:
+            with pytest.raises(ValueError, match=re.escape(text)):
+                CubicalTensor(2, 2, items)
+        # a document reports a value fault before any index fault
+        doc = {"r": 2, "n": 2, "entries": [{"i": [1, 3], "v": 1}, {"i": [1, 2], "v": True}]}
+        with pytest.raises(ValueError, match=value_fault):
+            CubicalTensor.from_json_dict(doc)
+
+    def test_str_exponent_checked_in_exact_complex(self):
+        if not DIGIT_LIMIT:
+            pytest.skip("the int/str digit limit is off")
+        for build in (lambda: ExactComplex("1e999999999"), lambda: ExactComplex(0, "-1E-999999999"),
+                      lambda: ExactComplex.coerce("1e999999999")):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                build()
+        assert ExactComplex(1) != "1e999999999"
+        assert ExactComplex("2.5e1") == ExactComplex.coerce("25") == 25
+
+
+class TestOneObjectPerValue:
+    """Every stored value is one object, unequal to every other, and carried by some row."""
+
+    def test_every_constructor_and_derived_tensor(self):
+        sums = [((1, 2), 1), ((1, 2), 1), ((2, 1), 2), ((2, 2), 3), ((2, 2), -3),
+                ((1, 1), "1/2"), ((1, 1), ExactComplex("3/2")), ((3, 3), [0, 1]), ((3, 3), 0.0)]
+        built = [
+            CubicalTensor(2, 3, sums),
+            CubicalTensor(2, 3, dict(sums)),
+            CubicalTensor.from_orbits(2, 3, sums),
+            CubicalTensor.from_matrix([[1, "1", 1.0], [Fraction(1), ExactComplex(1), 1 + 0j],
+                                       [[1, 0], "2/2", 2]]),
+            CubicalTensor.from_json_dict(fixture("order6").to_json_dict()),
+            hs.Hypergraph(3, 5, [(1, 2, 3), (3, 4, 5)]),
+            hs.adjacency_tensor(fixture("prop4-k1")),
+            diagonal_similarity(fixture("h2"), [1, -1]),
+            *(fixture(name) for name in hs.FIXTURE_NAMES if name != "edge-r"),
+        ]
+        # the two sums equal to 2 and the value 2 of (2, 1) are one object; 3 - 3 is pruned
+        assert len(built[0]._arrays[2]) == 2 and (2, 2) not in built[0].entries
+        assert len(built[3]._arrays[2]) == 2  # 1 in six forms, and 2
+        for a in built:
+            sub = a.principal_submatrix(range(1, a.n) or [1])  # all but the last vertex
+            derived = [a, -a, a._scaled(Fraction(-2, 3)), sub]
+            if is_symmetric(a):
+                derived += [part for _, part in components(a).parts]
+            for t in derived:
+                _assert_one_object_per_value(t)
+
+    @pytest.mark.parametrize("value", [lambda: 1, lambda: ExactComplex(1), lambda: "2/2"])
+    def test_orderings_of_two_8_edges_store_one_value(self, value):
+        orderings = [*permutations(range(1, 9)), *permutations(range(3, 11))]
+        assert len(orderings) == 80_640
+        a = CubicalTensor(8, 10, [(p, value()) for p in orderings])
+        assert len(a._arrays[2]) == 1 and len(a.entries) == 80_640
+        assert is_symmetric(a) and a == hs.Hypergraph(8, 10, [range(1, 9), range(3, 11)])
+        _assert_one_object_per_value(-a)
