@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import CubicalTensor, components, is_symmetric
+from .tensor import CubicalTensor, components, is_symmetric, parse_value
 
 __all__ = [
     "UniPoly", "charpoly_2matrix", "charpoly_tensor",
@@ -38,17 +38,25 @@ def _numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
+def _rational(c) -> Fraction:
+    """A Fraction as it is (it is immutable), else the real value that ``parse_value`` reads."""
+    if type(c) is Fraction:
+        return c
+    v = parse_value(c)
+    if v.im:
+        raise ValueError(f"coefficient {c!r} is not real")
+    return v.re
+
+
 class UniPoly:
-    """Univariate polynomial with exact rational coefficients, ascending."""
+    """Univariate polynomial with exact rational coefficients, ascending, read by ``_rational``."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int | str]):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]  # Fractions are immutable
+        cs = list(map(_rational, coeffs)) or [Fraction(0)]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
@@ -151,7 +159,7 @@ class UniPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "UniPoly":
-        p = cls([Fraction(c) for c in data["coeffs"]])
+        p = cls(data["coeffs"])
         if "degree" in data and data["degree"] != p.degree:
             raise ValueError(
                 f"declared degree {data['degree']} != actual degree {p.degree}")
@@ -206,7 +214,7 @@ def _pad(xs: Sequence[Fraction], ys: Sequence[Fraction]):
 
 def root_multiplicity(p: UniPoly, root: Fraction) -> int:
     """Largest k with (x - root)^k dividing p."""
-    factor = UniPoly([-Fraction(root), 1])
+    factor = UniPoly([-_rational(root), 1])
     count = 0
     while True:
         q, rem = p.divmod(factor)

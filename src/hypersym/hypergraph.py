@@ -106,7 +106,7 @@ def gen_prop4_graph(k: int, size_a: int, size_b: int) -> tuple[Hypergraph, OddCo
     |edge intersect X| = |X cap A| + |X cap B| pairs up evenly for any X, so
     no odd transversal exists.  Requires size_a, size_b >= 4k.
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:  # a bool is not a k
         raise ValueError(f"k must be a positive integer, got {k}")
     r = 4 * k
     if size_a < r or size_b < r:
@@ -133,7 +133,7 @@ def gen_prop5_graph(k: int, size_a: int, size_b: int,
     (3k in A, k in B).  The returned coloring is 1 on A, 4k-1 on B, 0 on C.
     Requires size_a, size_b >= 6k and size_c >= 4k.
     """
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:  # a bool is not a k
         raise ValueError(f"k must be a positive integer, got {k}")
     r = 4 * k
     if size_a < 6 * k or size_b < 6 * k or size_c < 4 * k:

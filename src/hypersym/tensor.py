@@ -12,12 +12,13 @@ each orbit's exact number of orderings, the digraph's arc matrix and the
 float kernel are computed from those arrays; one dict of the rows is built
 only when ``entries`` or ``entry`` asks for it.  Each of these structures
 has one builder: the arc matrix reads the stored rows, and only the float
-kernel expands an orbit into one row per head.  Every constructor parses
-each distinct raw value once by one rule, ``parse_value``, and stores one
-immutable ExactComplex per distinct value, so predicates and float
-conversions run once per distinct value.  Values degrade to floating point
-only inside iterative numerics, which all read one float kernel cached on
-the tensor.
+kernel expands an orbit into one row per head.  A number from outside
+becomes exact by one rule, ``parse_value``, in ExactComplex arithmetic and
+comparison, ``diagonal_similarity`` and every constructor, which parses
+each distinct raw value once and stores one immutable ExactComplex per
+distinct value, so predicates and float conversions run once per distinct
+value.  Values degrade to floating point only inside iterative numerics,
+which all read one float kernel cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -46,7 +47,7 @@ Scalar = Union[int, float, complex, Fraction, str, "ExactComplex"]
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _check_exponent(part, obj) -> None:
+def _check_exponent(part) -> None:
     """Reject a str with a decimal exponent past the int/str digit limit (0: no limit).
 
     Fraction builds 10**exponent, which for "1e999999999" runs for hours.
@@ -59,51 +60,43 @@ def _check_exponent(part, obj) -> None:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 4300
     digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
     if limit and (len(digits) > len(str(limit)) or int(digits or 0) > limit):
-        raise ValueError(f"tensor value {obj!r} has a decimal exponent beyond "
+        raise ValueError(f"tensor value {part!r} has a decimal exponent beyond "
                          f"{limit} in magnitude")
 
 
 class ExactComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational parts; ``parse_value`` reads each operand."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int | Fraction | str = 0, im: int | Fraction | str = 0):
-        _check_exponent(re, re)
-        _check_exponent(im, im)
+        _check_exponent(re)
+        _check_exponent(im)
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ExactComplex is immutable")
 
-    @classmethod
-    def coerce(cls, value: Scalar) -> "ExactComplex":
-        if isinstance(value, ExactComplex):
-            return value
-        if isinstance(value, complex):
-            return cls(value.real, value.imag)
-        return cls(value)  # int, float, Fraction, "p/q" string
-
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic: an operand that parse_value refuses raises its ValueError
     def __add__(self, other: Scalar) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
+        o = parse_value(other)
         return ExactComplex(self.re + o.re, self.im + o.im)
 
     def __sub__(self, other: Scalar) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
+        o = parse_value(other)
         return ExactComplex(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other: Scalar) -> "ExactComplex":
-        return ExactComplex.coerce(other) - self
+        return parse_value(other) - self
 
     def __mul__(self, other: Scalar) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
+        o = parse_value(other)
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
 
     def __truediv__(self, other: Scalar) -> "ExactComplex":
-        o = ExactComplex.coerce(other)
+        o = parse_value(other)
         norm = o.re * o.re + o.im * o.im
         if norm == 0:
             raise ZeroDivisionError("division by zero ExactComplex")
@@ -111,7 +104,7 @@ class ExactComplex:
                             (self.im * o.re - self.re * o.im) / norm)
 
     def __rtruediv__(self, other: Scalar) -> "ExactComplex":
-        return ExactComplex.coerce(other) / self
+        return parse_value(other) / self
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -137,8 +130,8 @@ class ExactComplex:
     # -- predicates -------------------------------------------------------
     def __eq__(self, other) -> bool:
         try:
-            o = ExactComplex.coerce(other)
-        except (TypeError, ValueError):
+            o = parse_value(other)
+        except ValueError:  # a value the rule refuses is unequal to every number
             return NotImplemented
         return self.re == o.re and self.im == o.im
 
@@ -204,7 +197,8 @@ def encode_value(v: ExactComplex) -> str | list:
 def parse_value(obj) -> ExactComplex:
     """Parse an entry value: a number, a "p/q" string, or a [re, im] pair.
 
-    The one rule of every constructor; it also takes an ExactComplex, Fraction or complex.
+    The one rule of constructors, ExactComplex operators and ==, diagonal_similarity
+    and UniPoly coefficients; it also takes an ExactComplex, Fraction or complex.
     """
     if isinstance(obj, ExactComplex):
         return obj
@@ -216,7 +210,6 @@ def parse_value(obj) -> ExactComplex:
         # a bool is an int, but not a tensor value
         if isinstance(part, bool) or not isinstance(part, (int, float, str, Fraction)):
             raise ValueError(f"cannot parse tensor value {obj!r}")
-        _check_exponent(part, obj)
     try:
         return ExactComplex(*parts)
     except OverflowError:  # an infinite float
@@ -398,15 +391,11 @@ _RECORD_INDEX, _RECORD_VALUE = itemgetter("i"), itemgetter("v")
 
 def _record_fault(raw: list) -> None:
     """Raise the first malformed record or unparsable value of a tensor document."""
-    seen = set()
-    for rec in raw:
-        if (not isinstance(rec, dict) or not isinstance(rec.get("i"), list)
-                or "v" not in rec):
-            raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {rec!r}")
-        key = _value_key(rec["v"])
-        if key not in seen:
-            parse_value(rec["v"])
-            seen.add(key)
+    bad = next((t for t, rec in enumerate(raw) if not isinstance(rec, dict)
+                or not isinstance(rec.get("i"), list) or "v" not in rec), len(raw))
+    _parse_interned(list(map(_RECORD_VALUE, raw[:bad])))  # its first bad value, if any
+    if bad < len(raw):
+        raise ValueError(f"tensor entry must be {{'i': [...], 'v': ...}}, got {raw[bad]!r}")
 
 
 def _parse_interned(objs: list) -> tuple[list[ExactComplex], np.ndarray]:
@@ -562,8 +551,9 @@ class CubicalTensor:
         if len(set(vs)) != len(vs):
             raise ValueError("vertex set must not contain duplicates")
         for v in vs:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
+            # type(v) is int, not isinstance: a bool is not a vertex
+            if type(v) is not int or not 1 <= v <= self.n:
+                raise ValueError(f"vertex {v!r} out of range 1..{self.n}")
         if len(vs) == self.n:
             return self
         keys, where, distinct = self._arrays
@@ -972,11 +962,12 @@ def diagonal_similarity(a: CubicalTensor, z: Sequence[Scalar]) -> CubicalTensor:
     """Spectrum-preserving rescale b_{j_1..j_r} = z_{j_1}^{-r} a z_{j_1}...z_{j_r}.
 
     If (lam, x) is an eigenpair of the input, (lam, x / z) is an eigenpair of
-    the output.  All z_k must be nonzero; exact values stay exact.
+    the output.  Each z_k is read by ``parse_value`` and must be nonzero;
+    exact values stay exact.
     """
     if len(z) != a.n:
         raise ValueError(f"scale vector length {len(z)} != order n={a.n}")
-    zs = [ExactComplex.coerce(v) for v in z]
+    zs = list(map(parse_value, z))
     if any(not v for v in zs):
         raise ValueError("diagonal similarity requires all z_k nonzero")
     inv_r = [v ** (-a.r) for v in zs]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations
@@ -177,6 +180,26 @@ class TestUniPoly:
         bad["degree"] = 5
         with pytest.raises(ValueError):
             UniPoly.from_json_dict(bad)
+
+    @pytest.mark.parametrize("bad, text", [
+        (True, "cannot parse tensor value True"),
+        (math.inf, "tensor value inf is not finite"),
+        ("1/0", "tensor value '1/0' has a zero denominator"),
+        ([1, 2], "coefficient [1, 2] is not real"),
+        ("1e999999999", "tensor value '1e999999999' has a decimal exponent"),
+    ])
+    def test_coefficients_follow_the_value_rule(self, bad, text):
+        # Python before 3.10.7 holds exponents to 4300 digits; 0 turns the limit off
+        if "exponent" in text and getattr(sys, "get_int_max_str_digits", lambda: 4300)() == 0:
+            pytest.skip("the int/str digit limit is off")
+        for build in (lambda: UniPoly([1, bad]), lambda: UniPoly([bad]),
+                      lambda: UniPoly.from_json_dict({"coeffs": [1, bad]}),
+                      lambda: root_multiplicity(UniPoly([0, 1]), bad)):
+            with pytest.raises(ValueError, match=re.escape(text)):
+                build()
+        # a document's values as the tensor reader takes them
+        assert UniPoly.from_json_dict({"coeffs": ["1/2", 0.25, [3, 0], "2.5e1"]}) == UniPoly(
+            [Fraction(1, 2), Fraction(1, 4), 3, 25])
 
     def test_roots_match_numpy(self):
         roots = UniPoly([-2, 0, 1]).roots()

@@ -184,6 +184,11 @@ class TestTwoPartFamily:
         with pytest.raises(ValueError):
             gen_prop4_graph(0, 4, 4)
 
+    def test_bool_k_refused(self):
+        # True is an int, but not a k: it would build the k = 1 graph
+        with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+            gen_prop4_graph(True, 4, 4)
+
     def test_weak_chromatic_number_two(self):
         g, _ = gen_prop4_graph(1, 4, 4)
         w = chromatic_number(g, 4)
@@ -222,6 +227,10 @@ class TestThreePartFamily:
             gen_prop5_graph(1, 5, 6, 4)
         with pytest.raises(ValueError):
             gen_prop5_graph(1, 6, 6, 3)
+
+    def test_bool_k_refused(self):
+        with pytest.raises(ValueError, match="k must be a positive integer, got True"):
+            gen_prop5_graph(True, 6, 6, 4)
 
 
 class TestChromaticNumber:

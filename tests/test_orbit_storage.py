@@ -37,7 +37,7 @@ from hypersym import (
     odd_transversal,
     polynomial_form,
 )
-from hypersym.tensor import _ARC_CHUNK, _orderings
+from hypersym.tensor import _ARC_CHUNK, _orderings, parse_value
 
 PROPERTY = settings(
     max_examples=60,
@@ -126,8 +126,8 @@ def test_numerics_agree_and_match_exact_sum(data):
     by_orbit, full = twins(r, n, orbits)
     real = by_orbit.is_real() and data.draw(st.booleans())
     x = data.draw(vectors(n, real))
-    xc = [complex(ExactComplex.coerce(v)) for v in x]
-    exact = [complex(v) for v in exact_f(full, [ExactComplex.coerce(v) for v in x])]
+    xc = [complex(parse_value(v)) for v in x]
+    exact = [complex(v) for v in exact_f(full, [parse_value(v) for v in x])]
     assert close(apply(by_orbit, xc), exact)
     assert close(apply(full, xc), exact)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 import sys
@@ -160,6 +161,13 @@ class TestCubicalTensor:
             a.principal_submatrix((1, 1))
         with pytest.raises(ValueError):
             a.principal_submatrix((1, 5))
+
+    @pytest.mark.parametrize("vertices, bad", [([True, 2], True), ([1.0, 2.0], 1.0),
+                                               ([1, np.int64(2)], np.int64(2))])
+    def test_principal_submatrix_refuses_non_int_vertices(self, vertices, bad):
+        # the index rule: type(v) is int, so a bool, a float or a numpy int is no vertex
+        with pytest.raises(ValueError, match=re.escape(f"vertex {bad!r} out of range 1..4")):
+            fixture("a2").principal_submatrix(vertices)
 
     def test_diagonal(self):
         a = CubicalTensor(3, 2, [((1, 1, 1), 5), ((2, 2, 2), -2), ((1, 2, 2), 9)])
@@ -347,6 +355,18 @@ class TestDiagonalSimilarity:
     def test_rejects_zero_scale(self):
         with pytest.raises(ValueError):
             diagonal_similarity(fixture("h2"), [ExactComplex(0, 0), ExactComplex(1, 0)])
+
+    @pytest.mark.parametrize("bad, text", [
+        (math.inf, "tensor value inf is not finite"),
+        ("1/0", "tensor value '1/0' has a zero denominator"),
+        (True, "cannot parse tensor value True"),
+    ])
+    def test_scale_vector_follows_the_value_rule(self, bad, text):
+        for z in ([bad, 1], [1, bad]):
+            with pytest.raises(ValueError, match=re.escape(text)):
+                diagonal_similarity(fixture("h2"), z)
+        assert diagonal_similarity(fixture("h2"), ["1/2", [1, 0]]) == diagonal_similarity(
+            fixture("h2"), [Fraction(1, 2), 1])
 
 
 class TestBipartite2Matrix:
@@ -570,8 +590,14 @@ class TestJsonIngest:
             {"i": [1, 2], "v": 1}, {"i": [2, 1], "v": 1}, {"i": [1, 3], "v": "1"},
             {"i": [3, 1], "v": 1.0}, {"i": [2, 3], "v": [1, 0]}, {"i": [3, 2], "v": "1"}]}
         parsed = []
-        monkeypatch.setattr(tensor_module, "parse_value",
-                            lambda obj: parsed.append(obj) or parse_value(obj))
+
+        def counting(obj):
+            # the value merge's == reads ExactComplex operands, which are no raw values
+            if not isinstance(obj, ExactComplex):
+                parsed.append(obj)
+            return parse_value(obj)
+
+        monkeypatch.setattr(tensor_module, "parse_value", counting)
         a = CubicalTensor.from_json_dict(doc)
         # each distinct raw value is parsed once, "1" and 1 apart ...
         assert parsed == [1, "1", 1.0, [1, 0]]
@@ -871,11 +897,47 @@ class TestValueRule:
         if not DIGIT_LIMIT:
             pytest.skip("the int/str digit limit is off")
         for build in (lambda: ExactComplex("1e999999999"), lambda: ExactComplex(0, "-1E-999999999"),
-                      lambda: ExactComplex.coerce("1e999999999")):
+                      lambda: parse_value("1e999999999")):
             with pytest.raises(ValueError, match="decimal exponent"):
                 build()
         assert ExactComplex(1) != "1e999999999"
-        assert ExactComplex("2.5e1") == ExactComplex.coerce("25") == 25
+        assert ExactComplex("2.5e1") == parse_value("25") == 25
+
+
+class TestOperandRule:
+    """ExactComplex operators and == read their operand by the value rule."""
+
+    @example((float("inf"), True))
+    @example(("1/0", True))
+    @example((True, True))
+    @example(([1, 0], False))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(raw_values())
+    def test_equality_with_raw_values(self, case):
+        raw, bad = case
+        equal = ExactComplex(1) == raw
+        assert isinstance(equal, bool)
+        if bad:
+            assert not equal
+        else:
+            v = parse_value(raw)
+            assert equal == ((v.re, v.im) == (1, 0))
+
+    @pytest.mark.parametrize("value, text", [
+        (True, "cannot parse tensor value True"),
+        (math.inf, "tensor value inf is not finite"),
+        ("1/0", "tensor value '1/0' has a zero denominator"),
+    ])
+    def test_operators_refuse_as_the_rule_does(self, value, text):
+        one = ExactComplex(1)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for args in ((one, value), (value, one)):
+                with pytest.raises(ValueError) as exc:
+                    op(*args)
+                assert str(exc.value) == text
+        numpy_int = re.escape(f"cannot parse tensor value {np.int64(1)!r}")
+        with pytest.raises(ValueError, match=numpy_int):
+            one + np.int64(1)
 
 
 class TestOneObjectPerValue:
