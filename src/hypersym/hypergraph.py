@@ -55,6 +55,9 @@ class Hypergraph(CubicalTensor):
         return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self._arrays[0])})"
 
     def degree(self, v: int) -> int:
+        # type(v) is int, not isinstance: a bool is not a vertex
+        if type(v) is not int or not 1 <= v <= self.n:
+            raise ValueError(f"vertex {v!r} out of range 1..{self.n}")
         return int(np.count_nonzero(self._arrays[0] == v))
 
     def to_json_dict(self) -> dict:
@@ -189,8 +192,11 @@ def chromatic_number(g: Hypergraph, max_k: int,
     most one new class), and is exhaustive, so k-infeasible answers are
     refutations.  Raises SearchBudgetExceeded if the node budget runs out.
     """
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    # type(...) is int, not isinstance: a bool is not a count
+    if type(max_k) is not int or max_k < 1:
+        raise ValueError(f"max_k must be an integer >= 1, got {max_k!r}")
+    if type(node_budget) is not int:
+        raise ValueError(f"node_budget must be an integer, got {node_budget!r}")
     # an edge's vertices are distinct, so a vertex's count in the rows is its degree
     degrees = np.bincount(g._arrays[0].ravel(), minlength=g.n + 1).tolist()
     order = sorted(range(1, g.n + 1), key=lambda v: (-degrees[v], v))

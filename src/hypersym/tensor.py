@@ -11,14 +11,16 @@ hypergraph's adjacency tensor is.  Support patterns, symmetry, equality,
 each orbit's exact number of orderings, the digraph's arc matrix and the
 float kernel are computed from those arrays; one dict of the rows is built
 only when ``entries`` or ``entry`` asks for it.  Each of these structures
-has one builder: the arc matrix reads the stored rows, and only the float
-kernel expands an orbit into one row per head.  A number from outside
-becomes exact by one rule, ``parse_value``, in ExactComplex arithmetic and
-comparison, ``diagonal_similarity`` and every constructor, which parses
-each distinct raw value once and stores one immutable ExactComplex per
-distinct value, so predicates and float conversions run once per distinct
-value.  Values degrade to floating point only inside iterative numerics,
-which all read one float kernel cached on the tensor.
+has one builder.  The float kernel and the arc matrix read the stored rows
+by one rule: each head column of a row (column 0 of a tuple, every column
+of an orbit) gives one kernel row, and arcs to the other columns.  A
+number from outside becomes exact by one rule, ``parse_value``, in
+ExactComplex arithmetic, comparison with numbers, ``diagonal_similarity``
+and every constructor, which parses each distinct raw value once and
+stores one immutable ExactComplex per distinct value, so predicates and
+float conversions run once per distinct value.  Values degrade to floating
+point only inside iterative numerics, which all read one float kernel
+cached on the tensor.
 
 Eigenpairs follow the homogeneous eigenvalue equation
 
@@ -129,6 +131,8 @@ class ExactComplex:
 
     # -- predicates -------------------------------------------------------
     def __eq__(self, other) -> bool:
+        if isinstance(other, (str, list, tuple)):  # it hashes unlike its number: unequal
+            return NotImplemented
         try:
             o = parse_value(other)
         except ValueError:  # a value the rule refuses is unequal to every number
@@ -197,8 +201,8 @@ def encode_value(v: ExactComplex) -> str | list:
 def parse_value(obj) -> ExactComplex:
     """Parse an entry value: a number, a "p/q" string, or a [re, im] pair.
 
-    The one rule of constructors, ExactComplex operators and ==, diagonal_similarity
-    and UniPoly coefficients; it also takes an ExactComplex, Fraction or complex.
+    The one rule of constructors, ExactComplex operators, == with a number,
+    diagonal_similarity and UniPoly coefficients; also takes ExactComplex, Fraction, complex.
     """
     if isinstance(obj, ExactComplex):
         return obj
@@ -657,63 +661,49 @@ class CubicalTensor:
         """Float COO kernel of F: ``(heads, tails, weights)``, 0-based.
 
         Row t adds weights[t] * prod(x[tails[:, t]]) to F(x)[heads[t]].
-        Tuple storage has one row per entry, which weighs its value.  Orbit
-        storage has one row per distinct head k of each orbit, whose tail is
-        the orbit with one k removed.  It weighs the orbit's value times its
-        tail's orderings, count * m_k / r: one exact int division per
-        (class, m_k).  When every orbit has r distinct indices, as every
-        `Hypergraph`'s has, the rows are read straight from the stored
-        ones: row (o, k) has head keys[o, k] and weight value * (r - 1)!,
-        the same float as count * m_k / r with count = r! and m_k = 1.
+        A stored row has h head columns: column 0 of a tuple (h = 1), or
+        every column of an orbit (h = r).  Kernel row (t, k) has head
+        keys[t, k] and the stored row without column k as its tail.  A
+        tuple's row weighs its value, and each row of an orbit its value
+        times count / r, count = r!/prod(m_i!) its orderings: the m_k rows
+        with head k add up to its tail's orderings, count * m_k / r.  With no
+        index repeated, as in every `Hypergraph`, that is (r - 1)!, and no
+        ordering class is searched.
         """
         keys, where, distinct = self._arrays
         keys = (keys - 1).astype(np.intp, copy=False)
         table = np.array(list(map(complex, distinct)), dtype=np.complex128)
         vals = (table.real if self.is_real() else table)[where]
-        if not self._by_orbit or not len(vals):  # no orbits: no rows either way
+        m, r = keys.shape
+        if not m:  # no rows: no r-long work, however large r
             return keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:].T), vals
-        r = self.r
-        if (keys[:, 1:] != keys[:, :-1]).all():  # sorted rows: no index repeats
+        h = r if self._by_orbit else 1
+        if self._by_orbit:
             try:
-                weight = float(factorial(r - 1))
-            except OverflowError:
+                if (keys[:, 1:] != keys[:, :-1]).all():  # sorted rows: no index repeats
+                    vals = vals * float(factorial(r - 1))
+                else:
+                    cls, counts = self._orbit_counts()
+                    vals = vals * np.array([count / r for count in counts])[cls]
+            except OverflowError:  # the weight is past the float range
                 raise ValueError(_PAST_FLOAT.format(r - 1)) from None
-            # the tail of row (o, k) is keys[o] without column k, one tail
-            # column at a time, so that no (m, r, r - 1) array is built
-            tails = np.empty((r - 1, keys.size), dtype=np.intp)
-            for c in range(r - 1):
-                by_head = tails[c].reshape(-1, r)
-                by_head[:, :c + 1] = keys[:, c + 1:c + 2]
-                by_head[:, c + 1:] = keys[:, c:c + 1]
-            return keys.ravel(), tails, np.repeat(vals * weight, r)
-        starts, mult = self._pattern_runs()  # the orbits are the patterns
-        source, pos = np.divmod(starts, r)
-        # each row without its column pos, one tail column at a time, so
-        # that no index array as large as the tails is built
-        flat, row_start = keys.ravel(), starts - pos
-        tails = np.empty((r - 1, len(starts)), dtype=np.intp)
+        # the tail of row (t, k) is keys[t] without column k, one tail
+        # column at a time, so that no (m, h, r - 1) array is built
+        tails = np.empty((r - 1, m * h), dtype=np.intp)
         for c in range(r - 1):
-            tails[c] = flat[row_start + c + (c >= pos)]
-        cls, counts = self._orbit_counts()
-        width = int(mult.max()) + 1
-        pair = cls[source] * width + mult  # one code per (class, m_k) pair
-        present = np.bincount(pair)
-        weight = np.zeros(len(present))
-        try:
-            for code in present.nonzero()[0].tolist():
-                weight[code] = counts[code // width] * (code % width) / r
-        except OverflowError:  # the int quotient is past the float range
-            raise ValueError(_PAST_FLOAT.format(r - 1)) from None
-        return flat[starts], tails, vals[source] * weight[pair]
+            by_head = tails[c].reshape(m, h)
+            by_head[:, :c + 1] = keys[:, c + 1:c + 2]
+            by_head[:, c + 1:] = keys[:, c:c + 1]
+        return keys[:, :h].ravel(), tails, np.repeat(vals, h)
 
     @_once
     def _arcs(self) -> np.ndarray:
         """Arc matrix of the associated digraph: [k, j] is an arc k+1 -> j+1.
 
-        Read from the stored rows: a tuple has an arc from its column 0 to
-        each other column, and an orbit from each column to each other one,
-        so a repeated index gives its self-arc.  The arcs are written in
-        chunks of rows, each of at most `_ARC_CHUNK` column pairs.
+        Read from the stored rows by the kernel's head-column rule: a row
+        has an arc from each of its h head columns to each other column, so
+        a repeated index of an orbit gives its self-arc.  The arcs are
+        written in chunks of rows, each of at most `_ARC_CHUNK` column pairs.
         """
         keys = self._arrays[0]
         n, r = self.n, self.r
@@ -721,10 +711,7 @@ class CubicalTensor:
         if not len(keys):  # no rows, no pairs: no r x r work, however large r
             return arcs
         # each row has an arc from its column a[i] to its column b[i]
-        if self._by_orbit:
-            a, b = np.nonzero(~np.eye(r, dtype=bool))
-        else:
-            a, b = np.zeros(r - 1, dtype=np.intp), np.arange(1, r)
+        a, b = np.nonzero(~np.eye(r if self._by_orbit else 1, r, dtype=bool))
         flat = arcs.reshape(-1)
         step = max(1, _ARC_CHUNK // len(a))
         for lo in range(0, len(keys), step):

@@ -117,6 +117,14 @@ class TestHypergraph:
         g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
         assert [g.degree(v) for v in (1, 2, 3, 4)] == [1, 2, 2, 1]
 
+    @pytest.mark.parametrize("v", [0, 5, True, 1.0])
+    def test_degree_refuses_non_vertices(self, v):
+        # type(v) is int, as for principal_submatrix: True and 1.0 are not vertex 1
+        g = Hypergraph(3, 4, [(1, 2, 3), (2, 3, 4)])
+        with pytest.raises(ValueError) as exc:
+            g.degree(v)
+        assert str(exc.value) == f"vertex {v!r} out of range 1..4"
+
     def test_degree_counts_the_edge_tuples(self, rng):
         graphs = [gen_prop5_graph(1, 6, 6, 4)[0], Hypergraph(3, 5, [])]
         graphs += [random_hypergraph(rng, rng.randint(3, 9), rng.randint(2, 4), density=0.4)
@@ -252,6 +260,15 @@ class TestChromaticNumber:
         g, _ = gen_prop5_graph(1, 6, 6, 4)
         with pytest.raises(SearchBudgetExceeded):
             chromatic_number(g, 3, node_budget=5)
+
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_counts_refuse_non_ints(self, bad):
+        # True would search k = 1, and a float budget would count down as a float
+        g = Hypergraph(2, 3, [(1, 2), (1, 3), (2, 3)])
+        with pytest.raises(ValueError, match=f"max_k must be an integer >= 1, got {bad!r}"):
+            chromatic_number(g, bad)
+        with pytest.raises(ValueError, match=f"node_budget must be an integer, got {bad!r}"):
+            chromatic_number(g, 3, node_budget=bad)
 
     def test_random_graphs_get_proper_colorings(self, rng):
         for _ in range(15):

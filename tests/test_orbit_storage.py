@@ -1,8 +1,8 @@
 """Orbit-stored symmetric tensors against their full-tuple twins.
 
 ``CubicalTensor.from_orbits`` keeps one value per index multiset and
-evaluates F(x) through a kernel with one row per distinct head of each
-orbit.  These properties check that it is the same tensor as the one built
+evaluates F(x) through a kernel with one row per column of each orbit.
+These properties check that it is the same tensor as the one built
 from every index tuple: same entries, same JSON, equal and equally hashed,
 the same F(x), residuals and forms (both matching an exact sum over
 ``entries``), and the same components and irreducibility.
@@ -285,8 +285,8 @@ def orbit_storage_inputs(draw):
 
     ``from_orbits`` gets multisets in any vertex order, repeated ones, and
     pairs that cancel to zero: either multisets with repeated indices, or
-    complex values on sets of r distinct indices, whose kernel is read
-    straight from the stored rows, as a ``Hypergraph``'s is.  ``Hypergraph``
+    complex values on sets of r distinct indices, whose kernel weights
+    need no ordering class, as a ``Hypergraph``'s do.  ``Hypergraph``
     gets repeated edges in any vertex order, up to r = 8.  Exactly one of
     ``edges`` and ``items`` is not None.  ``expected`` maps each sorted
     multiset to its value.
@@ -348,17 +348,17 @@ def test_orbit_arrays_match_dict_oracle(case):
             incidence[i, j - 1] += 1
     assert np.array_equal(a._incidence(), incidence)
 
-    # one row per distinct head k of each orbit, in orbit order, heads ascending
-    rows = [(i, k, key[:key.index(k)] + key[key.index(k) + 1:])
-            for i, key in enumerate(keys) for k in sorted(set(key))]
+    # one row per column c of each orbit, in orbit order: head key[c], the rest its tail
+    rows = [(i, key[c], key[:c] + key[c + 1:]) for i, key in enumerate(keys) for c in range(r)]
     heads, tails, k_weights = a._kernel()
     assert heads.tolist() == [k - 1 for _, k, _ in rows]
     assert tails.reshape(r - 1, -1).T.tolist() == [[j - 1 for j in tail] for *_, tail in rows]
     real = all(v.is_real for v in expected.values())
     values = [expected[keys[i]] for i, _, _ in rows]
     weights = [float(v.re) if real else complex(v) for v in values]
-    assert k_weights.tolist() == [w * _distinct_orderings(tail)
-                                  for w, (*_, tail) in zip(weights, rows)]
+    # each row of an orbit weighs its value times the orbit's orderings / r
+    assert k_weights.tolist() == [w * (_distinct_orderings(keys[i]) / r)
+                                  for w, (i, *_) in zip(weights, rows)]
     arcs = np.zeros((n, n), dtype=bool)  # an arc from each row's head to each index of its tail
     for _, k, tail in rows:
         for j in tail:
@@ -383,6 +383,16 @@ def test_orbit_arrays_match_dict_oracle(case):
     assert -a == -twin and hash(-a) == hash(-twin)
     assert a._row_dict() == expected == _orbit_map(twin) == _orbit_map(a)
     assert all(a.entry(p) == v for key, v in expected.items() for p in set(permutations(key)))
+
+
+def test_graph_kernel_searches_no_ordering_class():
+    # no index repeats in a graph's rows: each kernel row weighs (r - 1)! = 6
+    g = Hypergraph(4, 6, [(1, 2, 3, 4), (2, 3, 5, 6), (1, 4, 5, 6)])
+    for a in (g, adjacency_tensor(g)):
+        heads, tails, weights = a._kernel()
+        assert "_orbit_counts" not in a._cache
+        assert heads.tolist() == [0, 1, 2, 3, 0, 3, 4, 5, 1, 2, 4, 5]
+        assert weights.tolist() == [6.0] * 12
 
 
 @PROPERTY

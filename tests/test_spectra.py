@@ -151,6 +151,14 @@ class TestPowerIteration:
         assert exc.value.lower <= exc.value.upper
         assert exc.value.iterations == 2
 
+    @pytest.mark.parametrize("bad", [True, 1.0])
+    def test_max_iter_refuses_non_ints(self, bad):
+        # True would run one iteration
+        a = adjacency_tensor(gen_prop4_graph(1, 4, 4)[0])
+        for run in (spectral_radius_power, check_symmetric_spectrum_certified):
+            with pytest.raises(ValueError, match=f"max_iter must be an integer, got {bad!r}"):
+                run(a, max_iter=bad)
+
     def test_large_rho_stops_at_float_precision(self):
         # times 10^12 the float bracket stalls about 0.01 wide, far above tol,
         # so only the stall stop ends the run

@@ -905,23 +905,30 @@ class TestValueRule:
 
 
 class TestOperandRule:
-    """ExactComplex operators and == read their operand by the value rule."""
+    """ExactComplex operators, and == with a number, read their operand by the value rule."""
 
     @example((float("inf"), True))
     @example(("1/0", True))
     @example((True, True))
     @example(([1, 0], False))
+    @example(("1", False))
+    @example(((1, 0), False))
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(raw_values())
     def test_equality_with_raw_values(self, case):
         raw, bad = case
         equal = ExactComplex(1) == raw
         assert isinstance(equal, bool)
-        if bad:
+        if bad or isinstance(raw, (str, list, tuple)):  # a str or pair hashes unlike its number
             assert not equal
         else:
             v = parse_value(raw)
             assert equal == ((v.re, v.im) == (1, 0))
+        try:
+            hash(raw)
+        except TypeError:  # a list
+            return
+        assert equal == (ExactComplex(1) in {raw})  # equal values hash equal
 
     @pytest.mark.parametrize("value, text", [
         (True, "cannot parse tensor value True"),
