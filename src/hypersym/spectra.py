@@ -89,13 +89,15 @@ class ConvergenceError(RuntimeError):
             f"iterations; spectral radius bracketed in [{lower!r}, {upper!r}]")
 
 
-def _r_norm(x: np.ndarray, r: int) -> np.floating:
-    """``np.linalg.norm(x, ord=r)`` of a real vector, with the same float operations."""
+def _r_norm(x: np.ndarray, r: int, inv_r: float) -> np.floating:
+    """``np.linalg.norm(x, ord=r)`` of a vector x >= +0, with the same float operations.
+
+    With inv_r = 1.0 / r: sqrt(x . x) for r = 2, else add.reduce(x ** r) ** inv_r.
+    numpy takes ``abs`` of x first, which is the identity on x >= +0.
+    """
     if r == 2:
         return np.sqrt(x.dot(x))
-    absx = np.abs(x)
-    absx **= r
-    return np.add.reduce(absx) ** np.reciprocal(float(r))
+    return np.add.reduce(x ** r) ** inv_r
 
 
 # The exact bracket never widens but can hold still while x moves.  A stall
@@ -135,9 +137,17 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
 
     ``a`` must be nonnegative and weakly irreducible; the caller checks that,
     or knows it, and certifies the pair against the tensor it reports on.
+
+    With p = r - 1, shift s and the iterate x >= +0, one step is
+
+        xp = x ** p;  y = F(x) + s * xp   (y = F(x) + xp when s = 1.0)
+        ratios = y / xp;  lo, hi = min(ratios) - s, max(ratios) - s
+        x_new = y ** (1.0 / p);  x_new /= _r_norm(x_new, r, 1.0 / r)
+
+    with 1.0 / p and 1.0 / r computed once per call.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # nan fails both comparisons
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if type(max_iter) is not int:  # not isinstance: a bool is not a count
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
@@ -146,27 +156,30 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
         return _rescaled_power(a, k, tol, max_iter)
     n, r = a.n, a.r
     p = r - 1
+    inv_p, inv_r = 1.0 / p, 1.0 / r
     shift = 1.0 + max((to_float(v.re) for v in a.diagonal()), default=0.0)
+    minimum, maximum = np.minimum.reduce, np.maximum.reduce
 
     x = np.full(n, n ** (-1.0 / r))
     lo = hi = math.nan
     width, stalled = math.inf, 0
     for it in range(max_iter):
         xp = x ** p
-        y = apply_array(a, x) + shift * xp
+        y = apply_array(a, x)  # a new array, so it takes the shift term in place
+        y += xp if shift == 1.0 else shift * xp
         ratios = y / xp
-        lo = float(np.minimum.reduce(ratios)) - shift
-        hi = float(np.maximum.reduce(ratios)) - shift
+        lo = float(minimum(ratios)) - shift
+        hi = float(maximum(ratios)) - shift
         if not math.isfinite(hi - lo):
             if it == 0 and k > 0:
                 return _rescaled_power(a, k, tol, max_iter)
             raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
                              "in floating point")
-        x_new = y ** (1.0 / p)
-        norm = _r_norm(x_new, r)
+        x_new = y ** inv_p
+        norm = _r_norm(x_new, r, inv_r)
         if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
             x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
-            norm = _r_norm(x_new, r)
+            norm = _r_norm(x_new, r, inv_r)
         x_new /= norm
         if hi - lo < width:
             width, stalled = hi - lo, 0

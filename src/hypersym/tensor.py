@@ -831,9 +831,9 @@ def apply_array(a: CubicalTensor, x: np.ndarray) -> np.ndarray:
     if not len(heads):  # no terms, however many tail factors each would have
         return np.zeros(a.n)
     terms = weights * x[tails[0]]
-    for row in tails[1:]:
-        terms *= x[row]
-    if np.iscomplexobj(terms):
+    for c in range(1, len(tails)):  # cheaper than iterating the rows of tails[1:]
+        terms *= x[tails[c]]
+    if terms.dtype.kind == "c":
         # bincount accepts real weights only
         return (np.bincount(heads, weights=terms.real, minlength=a.n)
                 + 1j * np.bincount(heads, weights=terms.imag, minlength=a.n))

@@ -134,6 +134,17 @@ class TestRho:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10"])
+    def test_tol_not_finite_and_positive_exit_3(self, tmp_path, capsys, verb, tol):
+        # --tol inf stopped after one step at the midpoint of the first bracket
+        # and exited 0; a 4-cycle is odd-colorable, so check-symmetric iterates
+        p = tmp_path / "cycle4.json"
+        p.write_text(json.dumps(hs.Hypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 4)]).to_json_dict()))
+        assert main([verb, "--input", str(p), f"--tol={tol}"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "tol must be finite and positive" in err
+
     def test_precondition_failure_exit_3(self, tmp_path):
         path = write_fixture(tmp_path, "h2")  # has a negative entry
         code, _ = run(tmp_path, "rho", "--input", path)

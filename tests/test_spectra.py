@@ -5,12 +5,15 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypersym as hs
 from hypersym import (
@@ -18,6 +21,7 @@ from hypersym import (
     ConvergenceError,
     CubicalTensor,
     EigenPair,
+    FIXTURE_NAMES,
     Hypergraph,
     OddColoring,
     OddTransversal,
@@ -34,7 +38,8 @@ from hypersym import (
     polynomial_form,
     spectral_radius_power,
 )
-from hypersym.spectra import _r_norm
+from hypersym.spectra import _power, _r_norm
+from hypersym.tensor import to_float
 
 from conftest import random_graph_with_odd_transversal, random_symmetric_tensor
 
@@ -63,6 +68,11 @@ class TestEigenPair:
         a = fixture("order6")
         pair = EigenPair.certify(a, 1.0, [1.0] * 6, kind="general")
         assert pair.kind == "general"
+
+    @pytest.mark.parametrize("kind", ["Z", "h", ""])
+    def test_certify_refuses_other_kinds(self, kind):
+        with pytest.raises(ValueError, match=f"kind must be 'general' or 'H', got {kind!r}"):
+            EigenPair.certify(fixture("order6"), 1.0, [1.0] * 6, kind=kind)
 
     def test_json_round_trip(self):
         a = fixture("order6")
@@ -150,6 +160,21 @@ class TestPowerIteration:
             spectral_radius_power(a, tol=1e-300, max_iter=2)
         assert exc.value.lower <= exc.value.upper
         assert exc.value.iterations == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, -math.inf, math.inf, math.nan])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # tol = inf stopped after one step at the midpoint of the first
+        # bracket; nan never stopped on width
+        path = adjacency_tensor(Hypergraph(2, 3, [(1, 2), (2, 3)]))
+        cycle = adjacency_tensor(Hypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+        assert check_symmetric_spectrum_certified(cycle).branch == "colorable"
+        message = f"tol must be finite and positive, got {tol!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spectral_radius_power(path, tol=tol)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_symmetric_spectrum_certified(cycle, tol=tol)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _power(path, tol, 100)
 
     @pytest.mark.parametrize("bad", [True, 1.0])
     def test_max_iter_refuses_non_ints(self, bad):
@@ -253,7 +278,203 @@ def test_r_norm_is_numpys_norm_bit_for_bit(r):
     for n, scale in [(1, 1.0), (5, 1.0), (40, 1e-3), (1000, 1.0), (1000, 1e30), (200, 1e300)]:
         x = gen.random(n) * scale + 1e-300
         with np.errstate(over="ignore"):  # 1e300 ** r is inf on both sides
-            assert _r_norm(x, r) == np.linalg.norm(x, ord=r)
+            assert _r_norm(x, r, 1.0 / r) == np.linalg.norm(x, ord=r)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity oracle for the power step
+# ---------------------------------------------------------------------------
+# The reference is `_power`, `_rescaled_power`, `_r_norm` and `apply_array`
+# as they read while every step recomputed 1/p and 1/r, looked the reductions
+# up, multiplied the shift in and took abs before the r-th powers.  Each
+# floating-point operation is the same and runs in the same order, so
+# `_power` must return the same floats, and raise with the same bracket.
+
+def _reference_r_norm(x: np.ndarray, r: int) -> np.floating:
+    if r == 2:
+        return np.sqrt(x.dot(x))
+    absx = np.abs(x)
+    absx **= r
+    return np.add.reduce(absx) ** np.reciprocal(float(r))
+
+
+def _reference_apply(a, x):
+    heads, tails, weights = a._kernel()
+    if not len(heads):  # no terms, however many tail factors each would have
+        return np.zeros(a.n)
+    terms = weights * x[tails[0]]
+    for row in tails[1:]:
+        terms *= x[row]
+    if np.iscomplexobj(terms):
+        # bincount accepts real weights only
+        return (np.bincount(heads, weights=terms.real, minlength=a.n)
+                + 1j * np.bincount(heads, weights=terms.imag, minlength=a.n))
+    return np.bincount(heads, weights=terms, minlength=a.n)
+
+
+@np.errstate(over="ignore")
+def _reference_power(a, tol, max_iter):
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
+    k = largest.numerator.bit_length() - largest.denominator.bit_length()
+    if largest < Fraction(1, 2):  # the shift would swamp F(x): iterate on values near 1
+        return _reference_rescaled_power(a, k, tol, max_iter)
+    n, r = a.n, a.r
+    p = r - 1
+    shift = 1.0 + max((to_float(v.re) for v in a.diagonal()), default=0.0)
+
+    x = np.full(n, n ** (-1.0 / r))
+    lo = hi = math.nan
+    width, stalled = math.inf, 0
+    for it in range(max_iter):
+        xp = x ** p
+        y = _reference_apply(a, x) + shift * xp
+        ratios = y / xp
+        lo = float(np.minimum.reduce(ratios)) - shift
+        hi = float(np.maximum.reduce(ratios)) - shift
+        if not math.isfinite(hi - lo):
+            if it == 0 and k > 0:
+                return _reference_rescaled_power(a, k, tol, max_iter)
+            raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
+                             "in floating point")
+        x_new = y ** (1.0 / p)
+        norm = _reference_r_norm(x_new, r)
+        if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
+            x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
+            norm = _reference_r_norm(x_new, r)
+        x_new /= norm
+        if hi - lo < width:
+            width, stalled = hi - lo, 0
+        elif np.abs(x_new - x).max() <= hs.spectra._STALL_STEP * x.max():
+            stalled += 1
+        else:
+            stalled = 0
+        if width <= tol or stalled == hs.spectra._STALL_ITERATIONS:
+            return 0.5 * lo + 0.5 * hi, x  # 0.5 * (lo + hi) unless lo + hi overflows
+        x = x_new
+    raise ConvergenceError(lo, hi, max_iter)
+
+
+@np.errstate(over="ignore")
+def _reference_rescaled_power(a, k, tol, max_iter):
+    try:
+        rho, x = _reference_power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
+    except ConvergenceError as exc:
+        raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
+                               exc.iterations) from None
+    scaled = float(np.ldexp(rho, k))
+    if scaled == math.inf:
+        raise ValueError(f"the spectral radius {rho!r} * 2**{k} is not finite "
+                         "in floating point")
+    return scaled, x
+
+
+def _outcome(power, a):
+    """(rho, x), or the type and text of the error, which carry the last bracket."""
+    try:
+        # an entry of x that underflows to 0 makes a ratio inf or nan: the
+        # bracket is then not finite, and both raise
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return power(a, 1e-10, 2000)
+    except (ConvergenceError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_floats(a):
+    want, got = _outcome(_reference_power, a), _outcome(_power, a)
+    if isinstance(want[1], np.ndarray):
+        assert isinstance(got[1], np.ndarray)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+@st.composite
+def shifted_tuple_tensors(draw):
+    """Nonnegative tuple tensors at r = 2..5 with a diagonal entry: shift > 1."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5 if r <= 3 else 4))
+    values = (st.integers(1, 50)
+              | st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**3))
+              | st.sampled_from([1e300, 2.5e307]))
+    # the arcs k -> k + 1 around a cycle make the tensor weakly irreducible
+    items = {(k,) + (k % n + 1,) * (r - 1): draw(values) for k in range(1, n + 1)}
+    items[(draw(st.integers(1, n)),) * r] = draw(values)
+    index = st.tuples(*[st.integers(1, n)] * r)
+    items.update(draw(st.dictionaries(index, values, max_size=8)))
+    return CubicalTensor(r, n, list(items.items()))
+
+
+@st.composite
+def connected_hypergraphs(draw):
+    """Connected r-graphs at r = 2..5: their diagonal is empty, so shift = 1."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, r + 4))
+    edges = {frozenset(range(i, i + r)) for i in range(1, n - r + 2)}
+    edges |= set(draw(st.lists(st.frozensets(st.integers(1, n), min_size=r, max_size=r),
+                               max_size=6)))
+    return Hypergraph(r, n, sorted(tuple(sorted(e)) for e in edges))
+
+
+def _fixture_tensors():
+    for name in FIXTURE_NAMES:
+        for a in ([fixture(name, r=r) for r in (2, 4, 6, 171)] if name == "edge-r"
+                  else [fixture(name)]):
+            if not a.is_nonnegative():
+                continue
+            if hs.is_weakly_irreducible(a):
+                parts = [a]
+            elif hs.is_symmetric(a):  # a2: one part per component
+                parts = [sub for _, sub in hs.components(a).parts]
+            else:
+                parts = []
+            yield from (pytest.param(t, id=f"{name}-r{t.r}-n{t.n}") for t in parts)
+
+
+class TestPowerStepOracle:
+    @pytest.mark.parametrize("a", list(_fixture_tensors()))
+    def test_fixtures(self, a):
+        assert_same_floats(a)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(shifted_tuple_tensors())
+    def test_tuple_tensors_with_a_diagonal(self, a):
+        assert hs.is_weakly_irreducible(a) and a.is_nonnegative()
+        assert_same_floats(a)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(connected_hypergraphs())
+    def test_hypergraphs(self, g):
+        assert hs.is_weakly_irreducible(g)
+        assert_same_floats(g)
+
+    @pytest.mark.parametrize("items", [
+        # every value below 1/2: the run is on the tensor times a power of two
+        [((1, 2), Fraction(1, 10**6)), ((2, 1), Fraction(1, 10**6)),
+         ((2, 3), Fraction(4, 10**6)), ((3, 2), Fraction(4, 10**6))],
+        # the first bracket's upper end, 2e308, overflows
+        [((1, 2), 1e308), ((2, 1), 1e308), ((2, 3), 1e308), ((3, 2), 1e308)],
+        # the r-norm of the first iterate overflows
+        [((1, 1), 2e307), ((1, 2), 4e307), ((2, 1), 4e307)],
+        # rho = 1e308 is finite, though lo + hi is not
+        [((1, 2), 1e308), ((2, 1), 1e308)],
+    ], ids=["small-values", "first-bracket-overflows", "iterate-norm-overflows",
+            "bracket-sum-overflows"])
+    def test_near_the_float_limits(self, items):
+        n = max(max(i) for i, _ in items)
+        assert_same_floats(CubicalTensor(2, n, items))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(shifted_tuple_tensors(), st.data())
+    def test_apply_array_real_and_complex(self, a, data):
+        parts = st.floats(-2.0, 2.0)
+        re = np.array(data.draw(st.lists(parts, min_size=a.n, max_size=a.n)))
+        im = np.array(data.draw(st.lists(parts, min_size=a.n, max_size=a.n)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (re, re + 1j * im):
+                assert np.array_equal(hs.tensor.apply_array(a, x), _reference_apply(a, x),
+                                      equal_nan=True)
 
 
 class TestNegationMaps:
@@ -310,6 +531,17 @@ class TestNegationMaps:
             negation_map_from_coloring(OddColoring(r=4, phi=(0,) * 8), a)
         with pytest.raises(ValueError):
             negation_map_from_transversal(OddTransversal(n=8, vertices=(1,)), a)
+
+    def test_transport_refuses_mismatched_sizes(self):
+        g, phi = gen_prop4_graph(1, 4, 4)
+        a = adjacency_tensor(g)
+        pair = spectral_radius_power(a)
+        nmap = negation_map_from_coloring(phi, a)
+        short = EigenPair(lam=pair.lam, x=pair.x[:-1], residual=0.0, kind="H")
+        other = adjacency_tensor(Hypergraph(4, 9, [(1, 2, 3, 4)]))
+        for bad_pair, target in [(short, a), (pair, other)]:
+            with pytest.raises(ValueError, match="sizes disagree"):
+                nmap.transport(bad_pair, target)
 
     def test_transversal_map_requires_even_order(self):
         g = Hypergraph(3, 3, [(1, 2, 3)])

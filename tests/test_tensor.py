@@ -234,6 +234,14 @@ class TestApplyAndResidual:
         with pytest.raises(ValueError):
             apply(fixture("h2"), [1.0])
 
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 1.0, 1.0]])
+    def test_residual_and_form_check_vector_length(self, x):
+        message = f"vector length {len(x)} != order n=2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eigen_residual(fixture("h2"), 1.0, x)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            polynomial_form(fixture("h2"), x)
+
     def test_polynomial_form(self):
         edge3 = hs.adjacency_tensor(hs.Hypergraph(3, 3, [(1, 2, 3)]))
         assert polynomial_form(edge3, [1.0, 1.0, 1.0]) == pytest.approx(6.0)
