@@ -2,9 +2,9 @@
 
 The characteristic polynomial of an order-n tensor with r indices is the
 resultant of the n eigenvalue forms lam * x_k^(r-1) - F_k(x); it is monic of
-degree n * (r-1)^(n-1).  Denominators are cleared once per tensor, read
-from its stored arrays: one lcm over the distinct values and one cleared
-integer per distinct value, which each stored row takes by its place.
+degree n * (r-1)^(n-1).  F_k is read from the index tuples: each tuple
+(k, j_2, ..., j_r) adds its value at x_{j_2} ... x_{j_r}.  Denominators are
+cleared once per tensor: one lcm over the distinct values, one integer each.
 lam then appears only on the diagonal of one integer Sylvester (n = 2) or
 Macaulay (n = 3) matrix, so the resultant is det(mu I + M0), divided for
 n = 3 by the same on the submatrix of non-reduced monomials.  The
@@ -16,9 +16,10 @@ A polynomial has a symmetric root multiset iff p(-x) == (-1)^deg p(x).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -234,15 +235,14 @@ def _require_real_rational(a: CubicalTensor, what: str) -> None:
 
 
 def _cleared(a: CubicalTensor) -> tuple[int, np.ndarray, np.ndarray]:
-    """L, the lcm of the value denominators, the stored rows, and each row's value times -L.
+    """L, the lcm of the value denominators, the index tuples, and each tuple's value times -L.
 
-    Read from the array storage: one lcm over the distinct values, one
-    cleared integer per distinct value, and each row's taken through
-    ``where``, as int64 where every one fits, else as Python ints in an
-    object array.  An orbit-stored tensor's rows are sorted multisets,
-    each standing for all its orderings.
+    Read from the array storage of ``a._tuples()``: one lcm over the
+    distinct values, one cleared integer per distinct value, and each
+    tuple's taken through ``where``, as int64 where every one fits, else
+    as Python ints in an object array.
     """
-    keys, where, distinct = a._arrays
+    keys, where, distinct = a._tuples()._arrays
     scale = lcm(1, *(v.re.denominator for v in distinct))
     cleared = [-v.re.numerator * (scale // v.re.denominator) for v in distinct]
     try:
@@ -273,8 +273,6 @@ def charpoly_2matrix(a: CubicalTensor) -> UniPoly:
     m0 = np.zeros((n, n), dtype=values.dtype)
     rows, cols = (keys - 1).T
     m0[rows, cols] = values
-    if a._by_orbit:  # row (i, j) stands for (j, i) too
-        m0[cols, rows] = values
     p = _scaled(shifted_det_coeffs(m0.tolist()), scale)
     if p.degree != n or not p.is_monic():
         raise RuntimeError("internal error: matrix charpoly is not monic of degree n")
@@ -304,25 +302,12 @@ def charpoly_tensor(a: CubicalTensor) -> UniPoly:
     n, r = a.n, a.r
     degree = n * (r - 1) ** (n - 1)
     scale, keys, values = _cleared(a)
-    orderings = factorial(r)
-    forms: list[dict] = [{} for _ in range(n)]
+    forms: list[defaultdict] = [defaultdict(int) for _ in range(n)]
     for row, v in zip(keys.tolist(), values.tolist()):
         expo = [0] * n
-        for j in row:
+        for j in row[1:]:
             expo[j - 1] += 1
-        if a._by_orbit:
-            # an orbit's orderings with head k number orderings(row) * m_k / r,
-            # and all have the tail row - k
-            total = orderings // prod(map(factorial, expo))
-            heads = [(k, total * m // r) for k, m in enumerate(expo, 1) if m]
-        else:
-            heads = [(row[0], 1)]
-        for k, count in heads:
-            expo[k - 1] -= 1
-            key = tuple(expo)
-            expo[k - 1] += 1
-            form = forms[k - 1]
-            form[key] = form.get(key, 0) + v * count
+        forms[row[0] - 1][tuple(expo)] += v
     p = _scaled(shifted_resultant_coeffs(forms, [r - 1] * n), scale)
     if p.degree != degree or not p.is_monic():
         raise RuntimeError(
@@ -439,8 +424,8 @@ def isolated_vertex_multiplicity_check(obj) -> MultiplicityReport:
         raise ValueError(
             f"base order must be n <= 2 so the enlarged tensor stays at "
             f"n <= 3, got n={n}")
-    # the same rows on n + 1 vertices: the last one is isolated
-    enlarged = CubicalTensor._stored(r, n + 1, obj._arrays, obj._by_orbit)
+    # the same entries on n + 1 vertices: the last one is isolated
+    enlarged = CubicalTensor(r, n + 1, obj.entries.items())
     base = charpoly_tensor(obj)
     actual = charpoly_tensor(enlarged)
 

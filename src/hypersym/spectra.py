@@ -193,7 +193,7 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
     raise ConvergenceError(lo, hi, max_iter)
 
 
-@np.errstate(over="ignore")  # a radius past the float range scales back to inf: see below
+@np.errstate(over="ignore")  # a tol or radius past the float range scales to inf: see below
 def _rescaled_power(a: CubicalTensor, k: int, tol: float,
                     max_iter: int) -> tuple[float, np.ndarray]:
     """The bare Perron pair of ``a`` from that of a * 2^-k: rho times 2^k, the same x.
@@ -202,8 +202,10 @@ def _rescaled_power(a: CubicalTensor, k: int, tol: float,
     scaled tensor needs no structure check, and it gets no residual: the
     caller certifies the pair against the tensor it reports on.
     """
+    # a tol scaled past the float range is met by every finite bracket
+    scaled_tol = min(float(np.ldexp(tol, -k)), sys.float_info.max)
     try:
-        rho, x = _power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
+        rho, x = _power(a._scaled(Fraction(2) ** -k), scaled_tol, max_iter)
     except ConvergenceError as exc:
         raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
                                exc.iterations) from None
@@ -211,6 +213,8 @@ def _rescaled_power(a: CubicalTensor, k: int, tol: float,
     if scaled == math.inf:
         raise ValueError(f"the spectral radius {rho!r} * 2**{k} is not finite "
                          "in floating point")
+    if scaled == 0:  # a positive radius is not 0
+        raise ValueError(f"the spectral radius {rho!r} * 2**{k} is below the float range")
     return scaled, x
 
 

@@ -656,6 +656,13 @@ class CubicalTensor:
         full = {idx: v for key, v in self._row_dict().items() for idx in _orderings(key)}
         return {idx: full[idx] for idx in sorted(full)}
 
+    def _tuples(self) -> "CubicalTensor":
+        """The same tensor on tuple storage: itself, or the expansion of its orbits."""
+        # not cached: the tensor itself in its own _cache would be a cycle
+        if not self._by_orbit:
+            return self
+        return CubicalTensor(self.r, self.n, self._expanded().items())
+
     @_once
     def _kernel(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Float COO kernel of F: ``(heads, tails, weights)``, 0-based.

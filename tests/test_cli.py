@@ -78,6 +78,31 @@ class TestRho:
         assert abs(data["lambda"][0] - 17 ** 0.5 * 1e-6) <= 1e-10 and data["lambda"][1] == 0
         assert data["residual"] <= 1e-10
 
+    @staticmethod
+    def _tiny_path(tmp_path, zeros):
+        """The path 1-2-3 with values 1 and 4 over 10**zeros: rho = sqrt(17) / 10**zeros."""
+        a, b = "1/1" + "0" * zeros, "4/1" + "0" * zeros
+        p = tmp_path / f"tiny{zeros}.json"
+        p.write_text(json.dumps({"r": 2, "n": 3, "entries": [
+            {"i": [1, 2], "v": a}, {"i": [2, 1], "v": a},
+            {"i": [2, 3], "v": b}, {"i": [3, 2], "v": b}]}))
+        return str(p)
+
+    @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
+    def test_radius_below_float_range_exit_3(self, tmp_path, capsys, verb):
+        # rho ~ 4.1e-400: the tol scaled by 2**1326 is past the float range,
+        # and the radius scaled back is 0
+        assert main([verb, "--input", self._tiny_path(tmp_path, 400)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "below the float range" in err
+
+    @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
+    def test_subnormal_radius_exit_0(self, tmp_path, verb):
+        # rho ~ 4.1e-310 is subnormal, still a positive float
+        code, data = run(tmp_path, verb, "--input", self._tiny_path(tmp_path, 310))
+        pair = data if verb == "rho" else data["witness_pairs"][0]["plus"]
+        assert code == 0 and 0 < pair["lambda"][0] <= 1e-10 and pair["residual"] <= 1e-10
+
     def test_edge_with_170_factorial_orderings_per_tail(self, tmp_path):
         # one edge of r = 171 vertices: rho = 170!, finite, though 171! is not
         path = write_fixture(tmp_path, "edge-r", r=171)

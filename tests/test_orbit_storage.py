@@ -27,6 +27,7 @@ from hypersym import (
     Hypergraph,
     adjacency_tensor,
     apply,
+    charpoly_tensor,
     components,
     digraph,
     eigen_residual,
@@ -158,9 +159,13 @@ def _prod(x, idx) -> Fraction:
 
 @PROPERTY
 @given(orbit_data())
+# an r = 2 orbit with a diagonal entry, an r = 4 orbit with a repeated index
+@example((2, 3, {(1, 1): 3, (2, 1): Fraction(-1, 2), (3, 2): 2}))
+@example((4, 3, {(2, 1, 2, 3): 2, (1, 1, 1, 1): Fraction(1, 3), (3, 3, 1, 3): -1}))
 def test_structure_agrees(data):
     r, n, orbits = data
     by_orbit, full = twins(r, n, orbits)
+    assert full._tuples() is full
     assert digraph(by_orbit) == digraph(full)
     assert is_weakly_irreducible(by_orbit) == is_weakly_irreducible(full)
     dec_o, dec_f = components(by_orbit), components(full)
@@ -170,6 +175,8 @@ def test_structure_agrees(data):
         assert sub_o == sub_f
         assert list(sub_o.entries.items()) == list(sub_f.entries.items())
     assert by_orbit.principal_submatrix(range(1, n + 1)) is by_orbit
+    if by_orbit.is_real() and (r == 2 or n <= 3):  # within the exact contract
+        assert charpoly_tensor(by_orbit) == charpoly_tensor(full)
 
 
 @st.composite
