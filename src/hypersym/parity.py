@@ -23,7 +23,9 @@ table of the pivot row's multiples mod p^e, indexed by the row's own
 pivot-column entry, and the unsigned wrap of a negative difference is
 folded back to its residue.  The odd-transversal system over GF(2) is
 eliminated column by column, each column of C mod 2 held as one Python int
-whose bit i is row i.
+whose bit i is row i.  The same elimination answers either way: with a
+transversal, or with the odd set of patterns that sums to 0 == 1, read from
+the sets of rows each pivot row was added to.
 """
 from __future__ import annotations
 
@@ -155,39 +157,37 @@ def support_patterns(obj) -> list[tuple[int, ...]]:
 # GF(2) elimination on column bitsets
 # ---------------------------------------------------------------------------
 
-def _packed_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 0/1 array packed 8 columns a byte, little-endian."""
-    # numpy packs a contiguous copy faster than it packs along strides
-    return np.packbits(np.ascontiguousarray(a), axis=1, bitorder="little")
-
-
 def _solve_gf2(a: np.ndarray, rhs: int):
     """Solve a @ x == rhs over GF(2), for a 0/1 array a and rhs bit i for row i.
 
     Eliminates column by column on column bitsets, one Python int per
     column whose bit i is row i: the pivot of a column is the lowest-index
-    non-pivot row with its bit set, and it is XORed into the other
-    non-pivot rows that have it.  A row is XORed only into rows after it,
-    so the pivot rows are the greedy row-order basis, and a non-pivot row
-    ends as zero plus the unique combination of the pivot rows before it.
-    Each pivot reads every nonzero column of a after its own, about rank
-    x (nonzero columns) steps in all.  A column that is zero in a stays
-    zero and is never read, so a wide system with few sparse rows pays for
-    the columns its rows touch, not for all of them.
+    non-pivot row with its bit set, and it is added to the other non-pivot
+    rows that have it, its update set.  A row is added only to rows after
+    it, so the pivot rows are the greedy row-order basis, and a non-pivot
+    row ends as zero plus the unique combination of the pivot rows before
+    it.  Each pivot reads every nonzero column of a after its own, about
+    rank x (nonzero columns) steps in all.  A column that is zero in a
+    stays zero and is never read, so a wide system with few sparse rows
+    pays for the columns its rows touch, not for all of them.
 
     Returns ("sat", x), x the solution supported on the pivot columns (bit
     j for column j), unique since the pivot columns depend on the row space
-    only; or ("unsat", (i, kept)): i, the least non-pivot row left with
-    right side 1, and kept, the pivot rows before it, ascending.
+    only; or ("unsat", rows): the ascending indices of the least non-pivot
+    row i left with right side 1 and of the pivot rows that sum to it, so
+    that the rows read 0 == 1.  Those pivot rows are read from the update
+    sets, last pivot first: a pivot enters the sum when an odd number of
+    the rows already in it were in its update set.
     """
-    packed = _packed_rows(a.T)
+    # numpy packs a contiguous copy faster than it packs along strides
+    packed = np.packbits(np.ascontiguousarray(a.T), axis=1, bitorder="little")
     live = np.flatnonzero(packed.any(axis=1)).tolist()  # the nonzero columns
     data, size = packed.tobytes(), packed.shape[1]
     cols = [0] * a.shape[1]
     for j in live:
         cols[j] = int.from_bytes(data[j * size:(j + 1) * size], "little")
     free = (1 << len(a)) - 1  # the non-pivot rows
-    pivots: list[tuple[int, int]] = []  # (column, its pivot row's bit)
+    pivots: list[tuple[int, int, int]] = []  # (column, its pivot row's bit, update set)
     for k, j in enumerate(live):
         hit = cols[j] & free
         if not hit:
@@ -200,36 +200,24 @@ def _solve_gf2(a: np.ndarray, rhs: int):
                 cols[c] ^= rest
         if rhs & low:
             rhs ^= rest
-        pivots.append((j, low))
+        pivots.append((j, low, rest))
     bad = rhs & free
     if bad:
-        i = (bad & -bad).bit_length() - 1
-        return "unsat", (i, sorted(k for _, low in pivots if (k := low.bit_length() - 1) < i))
+        rows = bad & -bad  # the rows of the sum so far, as bits
+        found = [rows.bit_length() - 1]
+        for _, low, rest in reversed(pivots):
+            if (rest & rows).bit_count() & 1:
+                rows |= low
+                found.append(low.bit_length() - 1)
+        return "unsat", sorted(found)
     # a pivot row is never updated after its column, so the final columns
     # hold its entries; acc is the sum of the columns set in x so far
     x = acc = 0
-    for j, low in reversed(pivots):
+    for j, low, _ in reversed(pivots):
         if (rhs ^ acc) & low:
             x |= 1 << j
             acc ^= cols[j]
     return "sat", x
-
-
-def _solve_parity(a: np.ndarray, rhs: int):
-    """Solve a @ x == rhs over GF(2), for a 0/1 array a and rhs bit i for row i.
-
-    Returns ("sat", x), x bit j for column j, or ("unsat", rows): the
-    ascending indices of the first inconsistent row and of the pivot rows
-    before it that sum to it, so that the rows read 0 == 1.
-    """
-    status, result = _solve_gf2(a, rhs)
-    if status == "sat":
-        return status, result
-    i, kept = result
-    # row i as a sum of the kept rows: one equation per column of a
-    row = int.from_bytes(_packed_rows(a[[i]]).tobytes(), "little")
-    _, y = _solve_gf2(a[kept].T, row)
-    return "unsat", [k for s, k in enumerate(kept) if y >> s & 1] + [i]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +368,7 @@ def odd_transversal(obj) -> OddTransversal | TransversalInfeasible:
     tensor = _tensor(obj)
     n = tensor.n
     odd = tensor._incidence() & 1  # [i, j]: vertex j+1 occurs an odd number of times
-    status, result = _solve_parity(odd, (1 << len(odd)) - 1)
+    status, result = _solve_gf2(odd, (1 << len(odd)) - 1)
     if status == "unsat":
         return TransversalInfeasible(
             n=n, pattern_indices=tuple(result),

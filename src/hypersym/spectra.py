@@ -117,7 +117,8 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
     within tol, or when it stalls at float precision (as for large spectral
     radii).  A tensor whose values are all below 1/2, and one whose first
     bracket is past the float range, run on the tensor times 2^-k, whose
-    largest value is near 1; the radius scales back by 2^k exactly.  (With
+    largest value is near 1; the radius scales back by 2^k exactly, and the
+    scaled run's tol, tol * 2^-k, is capped at tol.  (With
     small values the shift s >= 1 would swamp F(x), and the bracket would
     narrow too slowly.)  The pair is certified once, against ``a`` as given.
     """
@@ -202,8 +203,9 @@ def _rescaled_power(a: CubicalTensor, k: int, tol: float,
     scaled tensor needs no structure check, and it gets no residual: the
     caller certifies the pair against the tensor it reports on.
     """
-    # a tol scaled past the float range is met by every finite bracket
-    scaled_tol = min(float(np.ldexp(tol, -k)), sys.float_info.max)
+    # never looser than tol: values below 1/2 (k < 0) would scale tol up,
+    # past every bracket, and the run would stop at its first
+    scaled_tol = min(float(np.ldexp(tol, -k)), tol)
     try:
         rho, x = _power(a._scaled(Fraction(2) ** -k), scaled_tol, max_iter)
     except ConvergenceError as exc:

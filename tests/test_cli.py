@@ -90,8 +90,8 @@ class TestRho:
 
     @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
     def test_radius_below_float_range_exit_3(self, tmp_path, capsys, verb):
-        # rho ~ 4.1e-400: the tol scaled by 2**1326 is past the float range,
-        # and the radius scaled back is 0
+        # rho ~ 4.1e-400: the run on the tensor times 2**1326 converges, and
+        # the radius scaled back is 0
         assert main([verb, "--input", self._tiny_path(tmp_path, 400)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "below the float range" in err
@@ -102,6 +102,8 @@ class TestRho:
         code, data = run(tmp_path, verb, "--input", self._tiny_path(tmp_path, 310))
         pair = data if verb == "rho" else data["witness_pairs"][0]["plus"]
         assert code == 0 and 0 < pair["lambda"][0] <= 1e-10 and pair["residual"] <= 1e-10
+        # resolved, not stopped at the first bracket of the scaled run
+        assert abs(pair["lambda"][0] - 17 ** 0.5 * 1e-310) <= 1e-9 * 17 ** 0.5 * 1e-310
 
     def test_edge_with_170_factorial_orderings_per_tail(self, tmp_path):
         # one edge of r = 171 vertices: rho = 170!, finite, though 171! is not

@@ -30,7 +30,7 @@ from hypersym import (
     verify_certificate,
 )
 from hypersym import parity
-from hypersym.parity import _solve_mod_prime_power, _solve_parity
+from hypersym.parity import _solve_gf2, _solve_mod_prime_power
 
 from conftest import random_hypergraph, random_tensor
 
@@ -576,12 +576,16 @@ class TestGF2Elimination:
     @example((66, [3, 1 << 65, 2, 1 << 65 | 1], [1, 1, 0, 1]))
     # row 1's pivot row gains column 3 from row 0, which row 1 of a lacks
     @example((4, [0b1001, 0b0011, 0b0010], [1, 0, 0]))
+    # pivot row 0 reaches the conflict only through pivot row 1: rows [0, 1, 2]
+    @example((3, [0b001, 0b011, 0b010], [1, 0, 0]))
+    # pivot row 0's update set holds both rows of the sum, so it stays out: rows [1, 2]
+    @example((3, [0b001, 0b011, 0b011], [0, 1, 0]))
     def test_matches_row_loop(self, system):
         n, rows, rhs = system
         expected = oracle_solve_gf2(rows, rhs, n)
         a = np.array([[row >> j & 1 for j in range(n)] for row in rows],
                      dtype=np.int8).reshape(len(rows), n)
-        status, result = _solve_parity(a, sum(b << i for i, b in enumerate(rhs)))
+        status, result = _solve_gf2(a, sum(b << i for i, b in enumerate(rhs)))
         assert status == expected[0]
         if status == "sat":
             assert result == expected[1]

@@ -202,10 +202,11 @@ class TestPowerIteration:
         pair = spectral_radius_power(CubicalTensor.from_orbits(2, 3, orbits), max_iter=1000)
         assert pair.lam.real == pytest.approx(17 ** 0.5 * 1e-6, abs=1e-10)
         assert pair.residual <= 1e-10
-        # the pair of the tensor times 2**17, whose largest value is in [1/2, 1), scaled back
+        # the pair of the tensor times 2**17, whose largest value is in [1/2, 1),
+        # scaled back; the scaled run keeps the caller's tol
         big = spectral_radius_power(
             CubicalTensor.from_orbits(2, 3, {k: v * 2**17 for k, v in orbits.items()}),
-            tol=math.ldexp(1e-10, 17))
+            tol=1e-10)
         assert pair.lam.real == math.ldexp(big.lam.real, -17) and pair.x == big.x
 
     def test_small_values_build_the_arc_matrix_once(self, monkeypatch):
@@ -359,7 +360,8 @@ def _reference_power(a, tol, max_iter):
 @np.errstate(over="ignore")
 def _reference_rescaled_power(a, k, tol, max_iter):
     try:
-        rho, x = _reference_power(a._scaled(Fraction(2) ** -k), math.ldexp(tol, -k), max_iter)
+        rho, x = _reference_power(a._scaled(Fraction(2) ** -k), min(math.ldexp(tol, -k), tol),
+                                  max_iter)
     except ConvergenceError as exc:
         raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
                                exc.iterations) from None

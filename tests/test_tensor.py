@@ -953,6 +953,8 @@ class TestOperandRule:
         numpy_int = re.escape(f"cannot parse tensor value {np.int64(1)!r}")
         with pytest.raises(ValueError, match=numpy_int):
             one + np.int64(1)
+        # numpy decides ==, comparing its scalar as a Python int: outside the rule
+        assert one == np.int64(1) and np.int64(1) == one
 
 
 class TestOneObjectPerValue:
