@@ -91,7 +91,8 @@ def _add_io_flags(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
                    help="destination path (default: stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser, and each verb's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="hypersym",
         description="Spectral symmetry toolkit for cubical tensors and "
@@ -150,13 +151,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniformity for the edge-r fixture")
     _add_io_flags(p, needs_input=False)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call to `main` and reused after it."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, built on the first call to `main` and reused after it."""
     return build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args(argv)`` of the root parser, in one argparse pass where it can be.
+
+    The root parser hands everything after the verb to that verb's parser.
+    When argv starts with a verb whose parser takes every remaining argument,
+    that one pass is the whole parse.  Any other argv (no verb, an unknown
+    one, ``-h`` first, or arguments left over) goes to the root parser, which
+    prints its own usage and error text.
+    """
+    parser, verbs = _parser()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +319,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         _HANDLERS[args.verb](args)
     except _UsageError as exc:

@@ -151,6 +151,8 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if type(max_iter) is not int:  # not isinstance: a bool is not a count
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:  # no iteration leaves no bracket to report
+        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
     k = largest.numerator.bit_length() - largest.denominator.bit_length()
     if largest < Fraction(1, 2):  # the shift would swamp F(x): iterate on values near 1

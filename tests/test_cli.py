@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -171,6 +173,25 @@ class TestRho:
         assert main([verb, "--input", str(p), f"--tol={tol}"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "tol must be finite and positive" in err
+
+    @pytest.mark.parametrize("verb", ["rho", "check-symmetric"])
+    @pytest.mark.parametrize("max_iter", ["0", "-3"])
+    def test_max_iter_below_1_exit_3(self, tmp_path, capsys, verb, max_iter):
+        # it exited 4 with the bracket [nan, nan]
+        p = tmp_path / "cycle4.json"
+        p.write_text(json.dumps(hs.Hypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 4)]).to_json_dict()))
+        assert main([verb, "--input", str(p), "--max-iter", max_iter]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: max_iter must be a positive integer, got {max_iter}\n"
+
+    @pytest.mark.parametrize("graph", [hs.Hypergraph(3, 3, [(1, 2, 3)]),
+                                       hs.Hypergraph(2, 3, [(1, 2), (2, 3), (1, 3)])],
+                             ids=["odd-r", "not-colorable"])
+    def test_check_symmetric_without_iteration_ignores_max_iter(self, tmp_path, graph):
+        p = tmp_path / "graph.json"
+        p.write_text(json.dumps(graph.to_json_dict()))
+        code, data = run(tmp_path, "check-symmetric", "--input", str(p), "--max-iter", "0")
+        assert code == 0 and data["symmetric"] is False
 
     def test_precondition_failure_exit_3(self, tmp_path):
         path = write_fixture(tmp_path, "h2")  # has a negative entry
@@ -836,6 +857,15 @@ class TestParserReuse:
         ["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4"],
         ["check-symmetric", "--input", "{dir}/edge4.json"],
         ["charpoly", "--input", "{dir}/order6.json"],  # n = 6: exits 3
+        # argvs that the verb's own parser does not finish, or that lean on
+        # argparse's own rules
+        [],  # no verb: the root parser exits 2
+        ["-h"],  # the root parser's help: exits 0
+        ["rho", "-h"],
+        ["rho", "--input", "{dir}/order6.json", "extra"],  # left over: exits 2
+        ["rho", "--inp", "{dir}/order6.json"],  # an abbreviation
+        ["rho", "--input={dir}/order6.json"],
+        ["--input", "{dir}/order6.json", "rho"],  # the verb comes last: exits 2
     ]
 
     @staticmethod
@@ -865,3 +895,91 @@ class TestParserReuse:
         main(["fixture", "a1"])
         info = cli._parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the old parse as a reference
+# ---------------------------------------------------------------------------
+# `_reference_main` is `main` as it read while every argv went through the
+# root parser, which hands what follows the verb to the verb's parser.  `main`
+# now parses with the verb's parser alone where that parser takes every
+# argument; exit code, stdout and stderr must not change, usage errors and
+# help included.
+
+@functools.cache
+def _reference_parser():
+    return cli.build_parser()[0]
+
+
+def _reference_main(argv: list[str]) -> int:
+    args = _reference_parser().parse_args(argv)
+    try:
+        cli._HANDLERS[args.verb](args)
+    except cli._UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.USAGE_ERROR
+    except hs.ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.CONVERGENCE_ERROR
+    except (ValueError, TypeError, MemoryError) as exc:
+        # numpy refuses an array whose byte size overflows with a ValueError
+        if isinstance(exc, MemoryError) or str(exc).startswith("array is too big"):
+            exc = f"the input is too large for {args.verb}: out of memory"
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.PRECONDITION_ERROR
+    return 0
+
+
+class TestParseOracle:
+    # (argv, the file that stdin reads or None): TestParserReuse's table, then
+    # the shapes of the benchmark's jobs and more of argparse's rules
+    CASES = [(argv, None) for argv in TestParserReuse.SEQUENCE] + [
+        (["rho", "--input", "{dir}/order6.json", "--tol", "1e-12", "--max-iter", "500"], None),
+        (["check-symmetric", "--input", "{dir}/edge4.json", "--tol", "1e-9"], None),
+        (["check-symmetric", "--input", "{dir}/edge4.json", "--max-iter", "0"], None),  # exits 3
+        (["verify-eigenpair", "--input", "{dir}/order6.json", "--pair", "{dir}/pair.json"], None),
+        (["verify-eigenpair", "--input", "{dir}/order6.json", "--pair", "-"], "pair.json"),
+        (["rho", "--input", "-", "--output", "-"], "order6.json"),
+        (["odd-transversal", "--output", "-", "--input", "{dir}/edge4.json"], None),
+        (["odd-coloring", "--input", "{dir}/edge4.json", "--output", "{dir}/out.json"], None),
+        (["rho", "--input", "{dir}/absent.json", "--input", "{dir}/order6.json"], None),
+        (["rho", "--input"], None),  # the flag lacks its value
+        (["rho", "--input", "{dir}/order6.json", "--tol", "tiny"], None),
+        (["rho", "--input", "{dir}/order6.json", "--max-iter", "1.5"], None),
+        (["rho", "--", "--input", "{dir}/order6.json"], None),
+        (["rho", "--h"], None),  # an abbreviation of --help
+        (["rho", "--input", "{dir}/order6.json", "-h"], None),
+        (["rho", "--input", "{dir}/order6.json", "--bogus", "1"], None),
+        (["gen", "prop6", "--k", "1", "--size-a", "4", "--size-b", "4"], None),
+        (["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4", "--size-c", "2"], None),
+        (["fixture", "h2", "--r", "3", "--bogus"], None),
+        (["fixture", "edge-r", "--r", "5"], None),
+        (["fixture"], None),
+        (["Rho", "--input", "{dir}/order6.json"], None),  # verbs are case-sensitive
+        (["frobnicate", "-h"], None),
+    ]
+
+    @staticmethod
+    def call(entry, argv, stdin, monkeypatch, capsys, written):
+        """Exit code, stdout, stderr, and the bytes of the --output file, removed after."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        data = written.read_bytes() if written.exists() else None
+        written.unlink(missing_ok=True)
+        return code, out, err, data
+
+    @pytest.mark.parametrize("argv,stdin", CASES, ids=[" ".join(a) or "(none)" for a, _ in CASES])
+    def test_main_matches_the_root_parse(self, tmp_path, monkeypatch, capsys, argv, stdin):
+        assert main(["fixture", "order6", "--output", str(tmp_path / "order6.json")]) == 0
+        assert main(["fixture", "edge-r", "--r", "4", "--output", str(tmp_path / "edge4.json")]) == 0
+        assert main(["rho", "--input", str(tmp_path / "order6.json"),
+                     "--output", str(tmp_path / "pair.json")]) == 0
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        text = (tmp_path / stdin).read_text() if stdin else ""
+        written = tmp_path / "out.json"
+        seen = self.call(main, argv, text, monkeypatch, capsys, written)
+        assert seen == self.call(_reference_main, argv, text, monkeypatch, capsys, written)

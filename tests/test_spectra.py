@@ -184,6 +184,20 @@ class TestPowerIteration:
             with pytest.raises(ValueError, match=f"max_iter must be an integer, got {bad!r}"):
                 run(a, max_iter=bad)
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_max_iter_must_be_positive(self, bad):
+        # it raised a ConvergenceError with the bracket [nan, nan]
+        path = adjacency_tensor(Hypergraph(2, 3, [(1, 2), (2, 3)]))
+        cycle = adjacency_tensor(Hypergraph(2, 4, [(1, 2), (2, 3), (3, 4), (1, 4)]))
+        assert check_symmetric_spectrum_certified(cycle).branch == "colorable"
+        message = f"max_iter must be a positive integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spectral_radius_power(path, max_iter=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_symmetric_spectrum_certified(cycle, max_iter=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _power(path, 1e-10, bad)
+
     def test_large_rho_stops_at_float_precision(self):
         # times 10^12 the float bracket stalls about 0.01 wide, far above tol,
         # so only the stall stop ends the run
