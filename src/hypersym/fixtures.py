@@ -78,11 +78,13 @@ FIXTURE_NAMES = tuple(_BUILDERS)
 
 
 def fixture(name: str, r: int | None = None) -> CubicalTensor | Hypergraph:
-    """Build a fixture by name; ``edge-r`` takes the uniformity parameter."""
+    """Build a fixture by name; ``edge-r`` takes the uniformity parameter, and no other does."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture name {name!r}; known: {', '.join(FIXTURE_NAMES)}")
     build, takes_r = _BUILDERS[name]
     if not takes_r:
+        if r is not None:
+            raise ValueError(f"fixture {name!r} takes no r parameter")
         return build()
     if r is None:
         raise ValueError(f"fixture {name!r} needs the r parameter")

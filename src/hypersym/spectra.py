@@ -63,10 +63,18 @@ class EigenPair:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "EigenPair":
-        lam = complex(_component(data["lambda"][0]), _component(data["lambda"][1]))
-        x = tuple(complex(_component(p[0]), _component(p[1])) for p in data["x"])
+        lam = _complex(data["lambda"], "'lambda'")
+        x = tuple(_complex(p, f"'x' entry {i}") for i, p in enumerate(data["x"], 1))
         return cls(lam=lam, x=x, residual=float(data["residual"]),
                    kind=data.get("kind", "general"))
+
+
+def _complex(part, where: str) -> complex:
+    """A pair document's ``[re, im]``: a list of exactly two components."""
+    if type(part) is not list or len(part) != 2:
+        raise ValueError(f"eigenpair {where} is not a list [re, im] of two numbers: "
+                         f"{part!r:.60}")
+    return complex(_component(part[0]), _component(part[1]))
 
 
 def _component(v) -> float:

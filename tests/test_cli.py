@@ -386,7 +386,9 @@ class TestVerifyVerbs:
     @pytest.mark.parametrize("lam,x0", [
         ("[1e400, 0]", "[1, 0]"), ("[NaN, 0]", "[1, 0]"), ("[true, 0]", "[1, 0]"),
         ("[1, 0]", "[1, -Infinity]"), ("[1, 0]", "[1%s, 0]" % ("0" * 400)),
-    ], ids=["lambda-inf", "lambda-nan", "lambda-bool", "x-inf", "x-huge-int"])
+        ("[1, 0, 5]", "[1, 0]"), ("[1, 0]", "[1, 0, 3]"),
+    ], ids=["lambda-inf", "lambda-nan", "lambda-bool", "x-inf", "x-huge-int",
+            "lambda-3-parts", "x-3-parts"])
     def test_non_finite_or_boolean_pair_exit_2(self, tmp_path, capsys, lam, x0):
         path = write_fixture(tmp_path, "order6")
         pair = tmp_path / "pair.json"
@@ -484,6 +486,17 @@ class TestGenAndFixture:
     def test_unknown_fixture_exit_2(self, tmp_path):
         code, _ = run(tmp_path, "fixture", "nope")
         assert code == 2
+
+    @pytest.mark.parametrize("name", [n for n in hs.FIXTURE_NAMES if n != "edge-r"])
+    def test_fixture_refuses_r_it_does_not_take(self, name):
+        with pytest.raises(ValueError, match=f"^fixture {name!r} takes no r parameter$"):
+            hs.fixture(name, r=3)
+
+    @pytest.mark.parametrize("name", ["h2", "prop4-k1"])
+    def test_r_on_a_fixture_without_r_exit_2(self, tmp_path, capsys, name):
+        code, data = run(tmp_path, "fixture", name, "--r", "3")
+        assert code == 2 and data is None
+        assert capsys.readouterr().err == f"error: fixture {name!r} takes no r parameter\n"
 
 
 class TestUsageErrors:

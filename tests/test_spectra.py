@@ -90,6 +90,15 @@ class TestEigenPair:
         with pytest.raises(ValueError, match="eigenpair component"):
             EigenPair.from_json_dict({"lambda": lam, "x": [x0, [1, 0]], "residual": 0})
 
+    @pytest.mark.parametrize("lam,x1,where", [
+        ([1, 0, 5], [1, 0], "'lambda'"), ([1], [1, 0], "'lambda'"), (1.0, [1, 0], "'lambda'"),
+        ((1, 0), [1, 0], "'lambda'"), ([1, 0], [1, 0, 3], "'x' entry 2"),
+        ([1, 0], [], "'x' entry 2"), ([1, 0], "10", "'x' entry 2"),
+    ])
+    def test_from_json_dict_requires_two_parts(self, lam, x1, where):
+        with pytest.raises(ValueError, match=f"eigenpair {where} is not a list"):
+            EigenPair.from_json_dict({"lambda": lam, "x": [[1, 0], x1], "residual": 0})
+
 
 class TestPowerIteration:
     def test_uniform_cycle_tensor(self):

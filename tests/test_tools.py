@@ -98,3 +98,51 @@ def test_each_tree_is_warmed_before_its_timed_pass(work, tmp_path):
         if job["verb"] not in smallest or size[i] < size[smallest[job["verb"]]]:
             smallest[job["verb"]] = i
     assert log.read_text().splitlines() == [argvs[i] for i in smallest.values()] + argvs
+
+
+def test_jobs_without_a_verb_compare(tmp_path):
+    # the help and no-verb usage error: their exit codes are results like any other
+    (tmp_path / "jobs.json").write_text(json.dumps([
+        {"id": "usage:", "verb": "", "argv": []},
+        {"id": "usage:-h", "verb": "", "argv": ["-h"]}]))
+    proc = _compare(str(tmp_path), SRC)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 jobs, 0 differ; base exit codes [0, 2]\n"
+
+
+@pytest.fixture(scope="module")
+def contract(tmp_path_factory) -> tuple[str, list[dict]]:
+    out = str(tmp_path_factory.mktemp("contract"))
+    subprocess.run([sys.executable, os.path.join(ROOT, "tools", "contract_jobs.py"),
+                    "--out", out, "--src", SRC], check=True, capture_output=True, timeout=170)
+    with open(os.path.join(out, "jobs.json"), encoding="utf-8") as fh:
+        return out, json.load(fh)
+
+
+def test_contract_jobs_reach_every_verb_and_fixture(contract):
+    from hypersym.cli import build_parser
+    from hypersym.fixtures import FIXTURE_NAMES
+
+    _, jobs = contract
+    assert len({job["id"] for job in jobs}) == len(jobs)
+    assert set(build_parser()[1]) <= {job["verb"] for job in jobs}
+    fixture_jobs = [job["argv"] for job in jobs if job["verb"] == "fixture"]
+    assert {argv[1] for argv in fixture_jobs} == set(FIXTURE_NAMES)
+    assert ["fixture", "edge-r", "--r", "171"] in fixture_jobs
+
+
+def test_contract_jobs_name_only_files_that_exist(contract):
+    out, jobs = contract
+    pairs = {job["pair"] for job in jobs if "pair" in job}
+    named = {a for job in jobs for a in job["argv"] if a.endswith(".json")}
+    assert pairs <= named
+    assert all(os.path.isfile(os.path.join(out, a)) for a in named - pairs)
+    assert not any(os.path.exists(os.path.join(out, a)) for a in pairs)
+
+
+def test_contract_jobs_keep_the_usage_argvs(contract):
+    _, jobs = contract
+    argvs = [job["argv"] for job in jobs if job["verb"] == "usage"]
+    assert argvs == [[], ["-h"], ["rho"], ["rho", "-h"], ["frobnicate", "--input", "order6.json"],
+                     ["rho", "--input", "order6.json", "extra"], ["rho", "--inp", "order6.json"],
+                     ["fixture", "h2", "--r", "3", "--bogus"]]

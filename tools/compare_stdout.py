@@ -1,8 +1,10 @@
 """Compare the CLI's output on two source trees, job by job.
 
-Runs every job of an input directory written by ``bench/inputs.py`` in
-process, once on each tree, each tree in its own interpreter, and lists
-every job whose exit code, stdout digest or stderr differs.  As in
+Runs every job of an input directory written by ``bench/inputs.py`` or
+``tools/contract_jobs.py`` in process, once on each tree, each tree in its
+own interpreter, and lists every job whose exit code, stdout digest or
+stderr differs.  A job is ``{"id", "verb", "argv"}``; an argv element that
+ends in ``.json`` names a file in the directory.  As in
 ``bench/worker.py``, the verify-eigenpair jobs read the pair that their
 ``rho`` job printed; here it is the base tree's ``rho`` that writes it, so
 both trees verify the same pair.
@@ -82,7 +84,7 @@ def run_tree(work: str, src: str, write_pairs: bool) -> list[dict]:
         start = time.perf_counter()
         code, data, err = _run(hypersym.cli.main, argv)
         ms = 1e3 * (time.perf_counter() - start)
-        results.append({"id": job["id"], "verb": argv[0], "code": code, "ms": ms,
+        results.append({"id": job["id"], "verb": job["verb"], "code": code, "ms": ms,
                         "stdout": hashlib.sha256(data).hexdigest(), "stderr": err})
     return results
 
@@ -117,7 +119,8 @@ def _timing_table(rounds: list[dict[str, list[dict]]]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dir", required=True, help="directory written by bench/inputs.py")
+    parser.add_argument("--dir", required=True,
+                        help="directory written by bench/inputs.py or tools/contract_jobs.py")
     parser.add_argument("--base", help="directory holding the base tree's hypersym package")
     parser.add_argument("--change", help="directory holding the changed tree's hypersym package")
     parser.add_argument("--repeat", type=int, metavar="N",
