@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+_ONE = ExactComplex(1)  # immutable, so every graph shares it
+
+
 class Hypergraph(CubicalTensor):
     """r-uniform hypergraph on vertices 1..n: its adjacency tensor, value 1 per edge orbit.
 
@@ -44,7 +47,7 @@ class Hypergraph(CubicalTensor):
             if (rows[:, 1:] == rows[:, :-1]).any():  # a repeated vertex
                 _edge_fault(edges, r, n)
         rows = _unique_rows(rows, n, return_inverse=False)[0]
-        ones = [ExactComplex(1)] if len(rows) else []
+        ones = [_ONE] if len(rows) else []
         self._set(r, n, (rows, np.zeros(len(rows), dtype=np.intp), ones), True)
 
     @property

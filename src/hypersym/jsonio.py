@@ -6,8 +6,8 @@ round-trips exactly.  A non-finite float has no JSON form and is refused.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .hypergraph import Hypergraph
@@ -30,7 +30,7 @@ def _render(obj: Any, out: list[str]) -> None:
             raise ValueError(f"{obj!r} has no JSON form: a result is not finite")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))  # what json.dumps(obj) returns
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -45,7 +45,7 @@ def _render(obj: Any, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 out.append(", ")
-            out.append(json.dumps(key))
+            out.append(encode_basestring_ascii(key))
             out.append(": ")
             _render(obj[key], out)
         out.append("}")

@@ -262,7 +262,10 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
     a table over the p^e values of a, whose row 0 is zero.  The
     subtraction wraps below zero in the unsigned range: for p = 2 the wrap
     is a multiple of p^e and the low e bits are the residue; for odd p,
-    adding p^e wraps the difference again to its residue.
+    adding p^e wraps the difference again to its residue.  For p = 2 the
+    table is built in the storage dtype, whose products wrap by the same
+    multiple; for odd p they would overflow it, so it is built in int64
+    and reduced mod p^e.
     """
     mod = p ** e
     nrows, ncols = rows.shape
@@ -287,9 +290,11 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
         v, lo, size = e, top, _SCAN_FIRST
         while lo < nrows:
             vals = val.take(w[lo:lo + size, :ncols])
-            i, k = divmod(int(vals.argmin()), ncols)
-            if vals[i, k] < v:
-                v, pi, pj = int(vals[i, k]), lo + i, k
+            at = int(vals.argmin())
+            if vals.item(at) < v:
+                v = vals.item(at)
+                pi, pj = divmod(at, ncols)
+                pi += lo
                 if v == 0:
                     break
             lo += size
@@ -302,7 +307,11 @@ def _solve_mod_prime_power(rows: np.ndarray, rhs: np.ndarray, p: int, e: int):
         unit = int(w[top, pj]) // pv
         if (pv, unit) != last:
             last, t = (pv, unit), residues // pv * pow(unit, -1, mod) % mod
-        table = (np.multiply.outer(t, w[top]) % mod).astype(dtype)
+            if p == 2:
+                t = t.astype(dtype)
+        table = np.multiply.outer(t, w[top])
+        if p != 2:
+            table = (table % mod).astype(dtype)
         below = w[top + 1:]
         below -= table.take(below[:, pj], axis=0)
         if p == 2:

@@ -65,7 +65,7 @@ class EigenPair:
     def from_json_dict(cls, data: dict) -> "EigenPair":
         lam = _complex(data["lambda"], "'lambda'")
         x = tuple(_complex(p, f"'x' entry {i}") for i, p in enumerate(data["x"], 1))
-        return cls(lam=lam, x=x, residual=float(data["residual"]),
+        return cls(lam=lam, x=x, residual=_component(data["residual"]),
                    kind=data.get("kind", "general"))
 
 
@@ -97,11 +97,12 @@ class ConvergenceError(RuntimeError):
             f"iterations; spectral radius bracketed in [{lower!r}, {upper!r}]")
 
 
-def _r_norm(x: np.ndarray, r: int, inv_r: float) -> np.floating:
+def _r_norm(x: np.ndarray, r: float, inv_r: float) -> np.floating:
     """``np.linalg.norm(x, ord=r)`` of a vector x >= +0, with the same float operations.
 
     With inv_r = 1.0 / r: sqrt(x . x) for r = 2, else add.reduce(x ** r) ** inv_r.
-    numpy takes ``abs`` of x first, which is the identity on x >= +0.
+    numpy takes ``abs`` of x first, which is the identity on x >= +0.  The
+    power step passes r as a float64, which numpy need not convert.
     """
     if r == 2:
         return np.sqrt(x.dot(x))
@@ -153,7 +154,10 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
         ratios = y / xp;  lo, hi = min(ratios) - s, max(ratios) - s
         x_new = y ** (1.0 / p);  x_new /= _r_norm(x_new, r, 1.0 / r)
 
-    with 1.0 / p and 1.0 / r computed once per call.
+    with 1.0 / p and 1.0 / r, and p and r as float64 exponents, computed
+    once per call.  s is 1 + the largest float among the distinct values of
+    the stored diagonal rows: a missing diagonal value is 0, which no value
+    of a nonnegative tensor is below.
     """
     if not 0 < tol < math.inf:  # nan fails both comparisons
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
@@ -165,17 +169,23 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
     k = largest.numerator.bit_length() - largest.denominator.bit_length()
     if largest < Fraction(1, 2):  # the shift would swamp F(x): iterate on values near 1
         return _rescaled_power(a, k, tol, max_iter)
+    keys, where, distinct = a._arrays
+    # distinct places, in vertex order: a value past the float range is named as by diagonal()
+    on_diagonal = dict.fromkeys(where[(keys == keys[:, :1]).all(axis=1)].tolist())
+    shift = 1.0 + max((to_float(distinct[w].re) for w in on_diagonal), default=0.0)
     n, r = a.n, a.r
     p = r - 1
     inv_p, inv_r = 1.0 / p, 1.0 / r
-    shift = 1.0 + max((to_float(v.re) for v in a.diagonal()), default=0.0)
+    # float64 exponents spare numpy an int conversion on every power; the int 2 alone
+    # takes numpy's faster square, with the same floats
+    p_exp, r_exp = p if p == 2 else np.float64(p), np.float64(r)
     minimum, maximum = np.minimum.reduce, np.maximum.reduce
 
     x = np.full(n, n ** (-1.0 / r))
     lo = hi = math.nan
     width, stalled = math.inf, 0
     for it in range(max_iter):
-        xp = x ** p
+        xp = x ** p_exp
         y = apply_array(a, x)  # a new array, so it takes the shift term in place
         y += xp if shift == 1.0 else shift * xp
         ratios = y / xp
@@ -187,10 +197,10 @@ def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarr
             raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
                              "in floating point")
         x_new = y ** inv_p
-        norm = _r_norm(x_new, r, inv_r)
+        norm = _r_norm(x_new, r_exp, inv_r)
         if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
             x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
-            norm = _r_norm(x_new, r, inv_r)
+            norm = _r_norm(x_new, r_exp, inv_r)
         x_new /= norm
         if hi - lo < width:
             width, stalled = hi - lo, 0

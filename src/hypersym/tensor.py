@@ -35,7 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import factorial, prod
+from math import factorial, inf, prod
 from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
@@ -855,11 +855,13 @@ def apply(a: CubicalTensor, x: Sequence[complex]) -> list[complex]:
     return apply_array(a, xs).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: refused below
 def eigen_residual(a: CubicalTensor, lam: complex, x: Sequence[complex]) -> float:
     """Scaled worst-equation defect of (lam, x) under the eigenvalue equation.
 
     Returns max_k |lam x_k^(r-1) - F(x)_k| / max(1, |lam| ||x||_inf^(r-1),
-    ||x||_inf^(r-1)).
+    ||x||_inf^(r-1)).  A ValueError names the float range when
+    ||x||_inf^(r-1), or the defect of some equation, is past it.
     """
     xs = np.array([complex(v) for v in x])
     if len(xs) != a.n:
@@ -868,8 +870,17 @@ def eigen_residual(a: CubicalTensor, lam: complex, x: Sequence[complex]) -> floa
         raise ValueError("eigenvector must be nonzero")
     lam = complex(lam)
     p = a.r - 1
+    xmax = float(np.abs(xs).max())
     num = float(np.abs(lam * xs ** p - apply_array(a, xs)).max())
-    xinf = float(np.abs(xs).max()) ** p
+    try:
+        xinf = xmax ** p
+    except OverflowError:
+        xinf = inf
+    if xinf == inf:
+        raise ValueError(f"the largest |x_k|, {xmax!r}, to the power r - 1 = {p} "
+                         "is past the float range")
+    if not num < inf:  # nan fails too
+        raise ValueError("lam x_k^(r-1) - F(x)_k is past the float range for some k")
     den = max(1.0, abs(lam) * xinf, xinf)
     return num / den
 

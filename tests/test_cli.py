@@ -383,22 +383,39 @@ class TestVerifyVerbs:
         assert data["residual"] <= 1e-12  # recomputed, not trusted
         assert data["kind"] == "H"
 
-    @pytest.mark.parametrize("lam,x0", [
-        ("[1e400, 0]", "[1, 0]"), ("[NaN, 0]", "[1, 0]"), ("[true, 0]", "[1, 0]"),
-        ("[1, 0]", "[1, -Infinity]"), ("[1, 0]", "[1%s, 0]" % ("0" * 400)),
-        ("[1, 0, 5]", "[1, 0]"), ("[1, 0]", "[1, 0, 3]"),
+    @pytest.mark.parametrize("lam,x0,residual", [
+        ("[1e400, 0]", "[1, 0]", "0"), ("[NaN, 0]", "[1, 0]", "0"), ("[true, 0]", "[1, 0]", "0"),
+        ("[1, 0]", "[1, -Infinity]", "0"), ("[1, 0]", "[1%s, 0]" % ("0" * 400), "0"),
+        ("[1, 0, 5]", "[1, 0]", "0"), ("[1, 0]", "[1, 0, 3]", "0"),
+        ("[1, 0]", "[1, 0]", "true"), ("[1, 0]", "[1, 0]", '"1e-3"'),
+        ("[1, 0]", "[1, 0]", '"nan"'), ("[1, 0]", "[1, 0]", "NaN"),
+        ("[1, 0]", "[1, 0]", "Infinity"),
     ], ids=["lambda-inf", "lambda-nan", "lambda-bool", "x-inf", "x-huge-int",
-            "lambda-3-parts", "x-3-parts"])
-    def test_non_finite_or_boolean_pair_exit_2(self, tmp_path, capsys, lam, x0):
+            "lambda-3-parts", "x-3-parts", "residual-bool", "residual-str",
+            "residual-str-nan", "residual-nan", "residual-inf"])
+    def test_non_finite_or_boolean_pair_exit_2(self, tmp_path, capsys, lam, x0, residual):
         path = write_fixture(tmp_path, "order6")
         pair = tmp_path / "pair.json"
-        pair.write_text('{"lambda": %s, "residual": 0, "x": [%s%s]}'
-                        % (lam, x0, ", [1, 0]" * 5))
+        pair.write_text('{"lambda": %s, "residual": %s, "x": [%s%s]}'
+                        % (lam, residual, x0, ", [1, 0]" * 5))
         code, data = run(
             tmp_path, "verify-eigenpair", "--input", path, "--pair", str(pair)
         )
         assert code == 2 and data is None
         assert capsys.readouterr().err.startswith("error: bad eigenpair document")
+
+    def test_power_of_x_past_the_float_range_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        path.write_text('{"r": 3, "n": 2, "entries": [{"i": [1, 2, 2], "v": 1}, '
+                        '{"i": [2, 1, 1], "v": 1}]}')
+        pair = tmp_path / "pair.json"
+        pair.write_text('{"lambda": [1, 0], "x": [[1e200, 0], [1, 0]], "residual": 0}')
+        code, data = run(
+            tmp_path, "verify-eigenpair", "--input", str(path), "--pair", str(pair)
+        )
+        assert code == 3 and data is None
+        assert capsys.readouterr().err == ("error: the largest |x_k|, 1e+200, to the power "
+                                           "r - 1 = 2 is past the float range\n")
 
     def test_verify_product(self, tmp_path):
         path = write_fixture(tmp_path, "a2")

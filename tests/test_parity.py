@@ -347,9 +347,11 @@ class TestComplementProperty:
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 # 11: the largest p^e whose products of residues fit int8; 128 and 131: the
-# largest with an 8-bit working matrix and the smallest with a 16-bit one
+# largest with an 8-bit working matrix and the smallest with a 16-bit one;
+# 512: a 16-bit matrix, so the p = 2 table, built in it, wraps modulo 2^16;
+# 65537: a 32-bit matrix, where the odd-p table, 65536^2 at most, would overflow
 PRIME_POWERS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (11, 1), (2, 7),
-                (131, 1)]
+                (131, 1), (2, 9), (65537, 1)]
 
 
 def _valuation(a: int, p: int) -> int:

@@ -90,6 +90,15 @@ class TestEigenPair:
         with pytest.raises(ValueError, match="eigenpair component"):
             EigenPair.from_json_dict({"lambda": lam, "x": [x0, [1, 0]], "residual": 0})
 
+    @pytest.mark.parametrize("residual", [True, "1e-3", "nan", math.nan, math.inf, None,
+                                          10 ** 400],
+                             ids=["bool", "str", "str-nan", "nan", "inf", "null", "huge-int"])
+    def test_from_json_dict_rejects_a_residual_that_is_no_finite_number(self, residual):
+        with pytest.raises(ValueError, match="eigenpair component"):
+            EigenPair.from_json_dict({"lambda": [1, 0], "x": [[1, 0]], "residual": residual})
+        assert EigenPair.from_json_dict(
+            {"lambda": [1, 0], "x": [[1, 0]], "residual": 3}).residual == 3.0
+
     @pytest.mark.parametrize("lam,x1,where", [
         ([1, 0, 5], [1, 0], "'lambda'"), ([1], [1, 0], "'lambda'"), (1.0, [1, 0], "'lambda'"),
         ((1, 0), [1, 0], "'lambda'"), ([1, 0], [1, 0, 3], "'x' entry 2"),
@@ -303,6 +312,7 @@ def test_r_norm_is_numpys_norm_bit_for_bit(r):
         x = gen.random(n) * scale + 1e-300
         with np.errstate(over="ignore"):  # 1e300 ** r is inf on both sides
             assert _r_norm(x, r, 1.0 / r) == np.linalg.norm(x, ord=r)
+            assert _r_norm(x, np.float64(r), 1.0 / r) == np.linalg.norm(x, ord=r)
 
 
 # ---------------------------------------------------------------------------

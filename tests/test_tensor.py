@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import random
@@ -226,6 +227,23 @@ class TestApplyAndResidual:
         assert eigen_residual(zero, 5.0, [1.0, 1.0]) == pytest.approx(1.0)
         assert eigen_residual(zero, 0.0, [3.0, -1.0]) == 0.0
 
+    @pytest.mark.parametrize("x", [[1e200, 0.0], [1e200j, 1.0], [1e308 + 1e308j, 1.0]])
+    def test_residual_refuses_a_power_past_the_float_range(self, x):
+        # |x|^(r-1) overflows: no warning, no OverflowError, a message that names the range
+        a = CubicalTensor(3, 2, [((1, 2, 2), 1), ((2, 1, 1), 1)])
+        with pytest.raises(ValueError, match="to the power r - 1 = 2 is past the float range"):
+            eigen_residual(a, 1.0, x)
+        assert eigen_residual(a, 1.0, [1e150, 0.0]) == 1.0  # 1e300 is within it
+
+    @pytest.mark.parametrize("a,lam,x", [
+        # lam x_1^2 overflows, and so does F(x) at r = 2 with values near the top
+        (CubicalTensor(3, 2, [((1, 2, 2), 1), ((2, 1, 1), 1)]), 1e300, [1e10, 1.0]),
+        (CubicalTensor(2, 2, [((1, 2), 1e300), ((2, 1), 1e300)]), 1.0, [1e300, 1e300]),
+    ])
+    def test_residual_refuses_a_defect_past_the_float_range(self, a, lam, x):
+        with pytest.raises(ValueError, match=r"F\(x\)_k is past the float range"):
+            eigen_residual(a, lam, x)
+
     def test_residual_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             eigen_residual(fixture("h2"), 1.0, [0.0, 0.0])
@@ -438,6 +456,17 @@ class TestJson:
         assert dumps_canonical({"b": 1, "a": 2}).index('"a"') < dumps_canonical(
             {"b": 1, "a": 2}
         ).index('"b"')
+
+    # any code point, surrogates included, or a text drawn from the escaped ones
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(st.characters(exclude_categories=()))
+           | st.text('"\\/\x00\x1f\x7fé \U0001f600'),
+           st.text(st.characters(exclude_categories=())))
+    @example('q"b\\s\x00\t\x1f', "é\U0001f600")
+    @example("\ud800", "\udfff x \ud83d")  # lone surrogates
+    def test_canonical_dump_quotes_strings_as_json_dumps(self, key, value):
+        assert dumps_canonical({key: [value]}) == (
+            "{%s: [%s]}\n" % (json.dumps(key), json.dumps(value)))
 
 
 def two_step_ingest(data) -> CubicalTensor:

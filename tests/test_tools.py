@@ -146,3 +146,19 @@ def test_contract_jobs_keep_the_usage_argvs(contract):
     assert argvs == [[], ["-h"], ["rho"], ["rho", "-h"], ["frobnicate", "--input", "order6.json"],
                      ["rho", "--input", "order6.json", "extra"], ["rho", "--inp", "order6.json"],
                      ["fixture", "h2", "--r", "3", "--bogus"]]
+
+
+def test_contract_jobs_verify_rhos_pairs_and_refused_pairs(contract):
+    _, jobs = contract
+    by_id = {job["id"]: job for job in jobs}
+    verified = [job for job in jobs if "pair_from" in job]
+    # each reads the pair of the rho job on its own input
+    for job in verified:
+        assert by_id[job["pair_from"]]["argv"] == ["rho", *job["argv"][1:3]]
+    assert {job["argv"][2] for job in verified} == {
+        "order6.json", "prop4-k1.json", "prop5-k1.json", "edge-r-2.json", "edge-r-3.json",
+        "edge-r-4.json", "edge-r-171.json", "prop5-k2.json"}
+    refused = [job["id"] for job in jobs
+               if job["verb"] == "verify-eigenpair" and "pair_from" not in job]
+    assert refused == ["verify-eigenpair:order6-lambda-3-parts", "verify-eigenpair:order6-x-bool",
+                       "verify-eigenpair:order6-no-residual", "verify-eigenpair:order6-x-short"]

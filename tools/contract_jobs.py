@@ -9,7 +9,11 @@ nor any r > 4.  This script writes a job directory for
   file reading ``order6.json``;
 - ``fixture NAME``, and rho, check-symmetric, odd-coloring, odd-transversal
   and charpoly on that fixture, for every fixture (``edge-r`` at r = 2, 3,
-  4 and 171);
+  4 and 171); verify-eigenpair on every fixture whose rho exits 0, reading
+  the pair that the base tree's rho job prints;
+- verify-eigenpair on ``order6`` with four pair documents that are
+  refused: a 3-part ``lambda``, a boolean ``x`` entry and a missing
+  ``residual`` (exit 2), and an ``x`` one entry short (exit 3);
 - ``convert-certificate`` on ``a2`` both ways, from the certificates that
   odd-coloring and odd-transversal print, and on ``prop4-k1`` with the
   witness of ``gen prop4 --k 1 --size-a 4 --size-b 4`` (exit 3, as r = 4);
@@ -42,6 +46,15 @@ EDGE_R = (2, 3, 4, 171)
 GEN_PROP4 = ["gen", "prop4", "--k", "1", "--size-a", "4", "--size-b", "4"]
 GEN_PROP5 = ["gen", "prop5", "--k", "2", "--size-a", "12", "--size-b", "12", "--size-c", "8"]
 GRAPH_VERBS = ("check-symmetric", "rho", "odd-coloring", "odd-transversal")
+# the fixtures whose rho exits 0, so that verify-eigenpair has a pair to read
+PAIR_STEMS = ("order6", "prop4-k1", "prop5-k1", "edge-r-2", "edge-r-3", "edge-r-4", "edge-r-171")
+ORDER6_X = [[1, 0]] * 6
+REFUSED_PAIRS = {
+    "lambda-3-parts": {"lambda": [1, 0, 5], "x": ORDER6_X, "residual": 0},
+    "x-bool": {"lambda": [1, 0], "x": [[True, 0], *ORDER6_X[1:]], "residual": 0},
+    "no-residual": {"lambda": [1, 0], "x": ORDER6_X},
+    "x-short": {"lambda": [1, 0], "x": ORDER6_X[1:], "residual": 0},
+}
 
 
 def _cli(main, argv: list[str]) -> str:
@@ -79,6 +92,15 @@ def write_contract(out_dir: str, main, fixture_names) -> list[dict]:
             job("fixture", ["fixture", name, *r_args], stem)
             for verb in FIXTURE_VERBS:
                 on(verb, stem)
+            if stem in PAIR_STEMS:
+                on("verify-eigenpair", stem, "--pair", f"pair-{stem}.json",
+                   pair=f"pair-{stem}.json", pair_from=f"rho:{stem}")
+
+    for name, doc in REFUSED_PAIRS.items():
+        with open(path(f"pair-order6-{name}.json"), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        job("verify-eigenpair", ["verify-eigenpair", "--input", "order6.json",
+                                 "--pair", f"pair-order6-{name}.json"], f"order6-{name}")
 
     for verb, kind in (("odd-coloring", "coloring"), ("odd-transversal", "transversal")):
         cert = json.loads(_cli(main, [verb, "--input", path("a2.json")]))["certificate"]
