@@ -19,6 +19,7 @@ from .charpoly import (MultiplicityReport, ProductReport, UniPoly,
                        root_multiplicity, squarefree_decomposition,
                        verify_component_product)
 from .fixtures import FIXTURE_NAMES, fixture
+from .floatpath import apply, eigen_residual, polynomial_form
 from .hypergraph import (Hypergraph, SearchBudgetExceeded, WeakColoring,
                          adjacency_tensor, chromatic_number, gen_prop4_graph,
                          gen_prop5_graph, is_connected)
@@ -34,9 +35,8 @@ from .spectra import (ComponentWitness, ConvergenceError, EigenPair,
                       negation_map_from_coloring,
                       negation_map_from_transversal, spectral_radius_power)
 from .tensor import (ComponentDecomposition, CubicalTensor, ExactComplex,
-                     apply, components, diagonal_similarity, digraph,
-                     eigen_residual, is_bipartite_2matrix, is_symmetric,
-                     is_weakly_irreducible, polynomial_form)
+                     components, diagonal_similarity, digraph,
+                     is_bipartite_2matrix, is_symmetric, is_weakly_irreducible)
 
 __version__ = "0.1.0"
 

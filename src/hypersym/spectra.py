@@ -5,22 +5,21 @@ positive diagonal shift s converges from the uniform positive vector; the
 min/max ratio bracket pins the spectral radius to the requested tolerance,
 or to float precision when that is coarser.
 Parity certificates turn into diagonal unit maps that carry eigenpairs
-(lam, x) to (-lam, diag * x).
+(lam, x) to (-lam, diag * x).  The floats themselves, the power step, the
+residual and the unit roots, are computed in ``floatpath.py``; this module
+checks structure, certifies pairs and moves them by multiplication only.
 """
 from __future__ import annotations
 
-import cmath
-import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .floatpath import ConvergenceError, _power, _unit_root, eigen_residual
 from .parity import (ColoringInfeasible, OddColoring, OddTransversal,
                      odd_coloring, verify_certificate)
-from .tensor import (CubicalTensor, apply_array, components, eigen_residual,
-                     is_symmetric, is_weakly_irreducible, to_float)
+from .tensor import CubicalTensor, components, is_symmetric, is_weakly_irreducible
 
 __all__ = [
     "EigenPair", "NegationMap", "ConvergenceError",
@@ -85,37 +84,6 @@ def _component(v) -> float:
     return float(v)
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration ran out of iterations; carries the last bracket."""
-
-    def __init__(self, lower: float, upper: float, iterations: int):
-        self.lower = lower
-        self.upper = upper
-        self.iterations = iterations
-        super().__init__(
-            f"power iteration did not reach tolerance after {iterations} "
-            f"iterations; spectral radius bracketed in [{lower!r}, {upper!r}]")
-
-
-def _r_norm(x: np.ndarray, r: float, inv_r: float) -> np.floating:
-    """``np.linalg.norm(x, ord=r)`` of a vector x >= +0, with the same float operations.
-
-    With inv_r = 1.0 / r: sqrt(x . x) for r = 2, else add.reduce(x ** r) ** inv_r.
-    numpy takes ``abs`` of x first, which is the identity on x >= +0.  The
-    power step passes r as a float64, which numpy need not convert.
-    """
-    if r == 2:
-        return np.sqrt(x.dot(x))
-    return np.add.reduce(x ** r) ** inv_r
-
-
-# The exact bracket never widens but can hold still while x moves.  A stall
-# is an iteration whose bracket is no narrower than the narrowest so far and
-# whose step max|x_new - x| is within 2^10 ulps of max x, i.e. rounding; 3 in
-# a row mean float precision has been reached.
-_STALL_ITERATIONS, _STALL_STEP = 3, 2.0 ** 10 * float(np.finfo(float).eps)
-
-
 def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
                           max_iter: int = 100_000) -> EigenPair:
     """Spectral radius and positive eigenvector of a nonnegative tensor.
@@ -141,117 +109,9 @@ def spectral_radius_power(a: CubicalTensor, tol: float = 1e-10,
     return EigenPair.certify(a, rho, x, kind="H")
 
 
-@np.errstate(over="ignore")  # an overflow leaves a bracket or a norm that is not finite: see below
-def _power(a: CubicalTensor, tol: float, max_iter: int) -> tuple[float, np.ndarray]:
-    """The bare Perron pair (rho, x) of `spectral_radius_power`, with no residual.
-
-    ``a`` must be nonnegative and weakly irreducible; the caller checks that,
-    or knows it, and certifies the pair against the tensor it reports on.
-
-    With p = r - 1, shift s and the iterate x >= +0, one step is
-
-        xp = x ** p;  y = F(x) + s * xp   (y = F(x) + xp when s = 1.0)
-        ratios = y / xp;  lo, hi = min(ratios) - s, max(ratios) - s
-        x_new = y ** (1.0 / p);  x_new /= _r_norm(x_new, r, 1.0 / r)
-
-    with 1.0 / p and 1.0 / r, and p and r as float64 exponents, computed
-    once per call.  s is 1 + the largest float among the distinct values of
-    the stored diagonal rows: a missing diagonal value is 0, which no value
-    of a nonnegative tensor is below.
-    """
-    if not 0 < tol < math.inf:  # nan fails both comparisons
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if type(max_iter) is not int:  # not isinstance: a bool is not a count
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 1:  # no iteration leaves no bracket to report
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
-    largest = max((v.re for v in a._arrays[2]), default=Fraction(1))
-    k = largest.numerator.bit_length() - largest.denominator.bit_length()
-    if largest < Fraction(1, 2):  # the shift would swamp F(x): iterate on values near 1
-        return _rescaled_power(a, k, tol, max_iter)
-    keys, where, distinct = a._arrays
-    # distinct places, in vertex order: a value past the float range is named as by diagonal()
-    on_diagonal = dict.fromkeys(where[(keys == keys[:, :1]).all(axis=1)].tolist())
-    shift = 1.0 + max((to_float(distinct[w].re) for w in on_diagonal), default=0.0)
-    n, r = a.n, a.r
-    p = r - 1
-    inv_p, inv_r = 1.0 / p, 1.0 / r
-    # float64 exponents spare numpy an int conversion on every power; the int 2 alone
-    # takes numpy's faster square, with the same floats
-    p_exp, r_exp = p if p == 2 else np.float64(p), np.float64(r)
-    minimum, maximum = np.minimum.reduce, np.maximum.reduce
-
-    x = np.full(n, n ** (-1.0 / r))
-    lo = hi = math.nan
-    width, stalled = math.inf, 0
-    for it in range(max_iter):
-        xp = x ** p_exp
-        y = apply_array(a, x)  # a new array, so it takes the shift term in place
-        y += xp if shift == 1.0 else shift * xp
-        ratios = y / xp
-        lo = float(minimum(ratios)) - shift
-        hi = float(maximum(ratios)) - shift
-        if not math.isfinite(hi - lo):
-            if it == 0 and k > 0:
-                return _rescaled_power(a, k, tol, max_iter)
-            raise ValueError(f"the spectral radius bracket [{lo!r}, {hi!r}] is not finite "
-                             "in floating point")
-        x_new = y ** inv_p
-        norm = _r_norm(x_new, r_exp, inv_r)
-        if norm == math.inf:  # the r-th powers overflow: scale by a power of two, exactly
-            x_new = np.ldexp(x_new, -np.frexp(x_new.max())[1])
-            norm = _r_norm(x_new, r_exp, inv_r)
-        x_new /= norm
-        if hi - lo < width:
-            width, stalled = hi - lo, 0
-        elif np.abs(x_new - x).max() <= _STALL_STEP * x.max():
-            stalled += 1
-        else:
-            stalled = 0
-        if width <= tol or stalled == _STALL_ITERATIONS:
-            return 0.5 * lo + 0.5 * hi, x  # 0.5 * (lo + hi) unless lo + hi overflows
-        x = x_new
-    raise ConvergenceError(lo, hi, max_iter)
-
-
-@np.errstate(over="ignore")  # a tol or radius past the float range scales to inf: see below
-def _rescaled_power(a: CubicalTensor, k: int, tol: float,
-                    max_iter: int) -> tuple[float, np.ndarray]:
-    """The bare Perron pair of ``a`` from that of a * 2^-k: rho times 2^k, the same x.
-
-    Scaling by a positive factor keeps the index rows and the signs, so the
-    scaled tensor needs no structure check, and it gets no residual: the
-    caller certifies the pair against the tensor it reports on.
-    """
-    # never looser than tol: values below 1/2 (k < 0) would scale tol up,
-    # past every bracket, and the run would stop at its first
-    scaled_tol = min(float(np.ldexp(tol, -k)), tol)
-    try:
-        rho, x = _power(a._scaled(Fraction(2) ** -k), scaled_tol, max_iter)
-    except ConvergenceError as exc:
-        raise ConvergenceError(float(np.ldexp(exc.lower, k)), float(np.ldexp(exc.upper, k)),
-                               exc.iterations) from None
-    scaled = float(np.ldexp(rho, k))
-    if scaled == math.inf:
-        raise ValueError(f"the spectral radius {rho!r} * 2**{k} is not finite "
-                         "in floating point")
-    if scaled == 0:  # a positive radius is not 0
-        raise ValueError(f"the spectral radius {rho!r} * 2**{k} is below the float range")
-    return scaled, x
-
-
 # ---------------------------------------------------------------------------
 # negation maps
 # ---------------------------------------------------------------------------
-
-def _unit_root(num: int, den: int) -> complex:
-    """exp(2*pi*i*num/den), exact at quarter turns."""
-    num %= den
-    quarter, rem = divmod(4 * num, den)
-    if rem == 0:
-        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter % 4]
-    return cmath.exp(2j * cmath.pi * num / den)
-
 
 @dataclass(frozen=True)
 class NegationMap:

@@ -19,10 +19,9 @@ ExactComplex arithmetic, comparison with numbers, ``diagonal_similarity``
 and every constructor, which parses each distinct raw value once and
 stores one immutable ExactComplex per distinct value, so predicates and
 float conversions run once per distinct value.  Values degrade to floating
-point only inside iterative numerics, which all read one float kernel
-cached on the tensor.
-
-Eigenpairs follow the homogeneous eigenvalue equation
+point only in the float kernel cached on the tensor, which the float path
+of ``floatpath.py`` reads: F(x), eigenpair residuals and power iteration,
+under the homogeneous eigenvalue equation
 
     lam * x_k^(r-1) = sum_{j_2..j_r} a_{k j_2 ... j_r} x_{j_2} * ... * x_{j_r}
 """
@@ -35,12 +34,16 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from math import factorial, inf, prod
+from math import factorial, prod
 from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+
+# apply and eigen_residual are bound here as well, for callers that look them up in
+# this module, as bench/tracing.py does
+from .floatpath import apply, eigen_residual, to_float  # noqa: F401
 
 Scalar = Union[int, float, complex, Fraction, str, "ExactComplex"]
 
@@ -168,19 +171,6 @@ class ExactComplex:
 
 
 _ZERO = ExactComplex(0)
-
-
-def to_float(q: Fraction) -> float:
-    """float(q); a ValueError that names q when q is past the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        pass
-    try:
-        name = str(q)
-    except ValueError:  # past the int/str digit limit
-        name = f"of about 2**{q.numerator.bit_length() - q.denominator.bit_length()}"
-    raise ValueError(f"the value {name} is past the float range")
 
 
 def _encode_component(f: Fraction) -> int | float | str:
@@ -830,70 +820,6 @@ class _OrbitEntries(Mapping):
 def is_symmetric(a: CubicalTensor) -> bool:
     """True iff every permutation of every index tuple carries the same value."""
     return a._orbit_storage() is not None
-
-
-def apply_array(a: CubicalTensor, x: np.ndarray) -> np.ndarray:
-    """F(x) for a numpy vector, through the tensor's cached float kernel."""
-    heads, tails, weights = a._kernel()
-    if not len(heads):  # no terms, however many tail factors each would have
-        return np.zeros(a.n)
-    terms = weights * x[tails[0]]
-    for c in range(1, len(tails)):  # cheaper than iterating the rows of tails[1:]
-        terms *= x[tails[c]]
-    if terms.dtype.kind == "c":
-        # bincount accepts real weights only
-        return (np.bincount(heads, weights=terms.real, minlength=a.n)
-                + 1j * np.bincount(heads, weights=terms.imag, minlength=a.n))
-    return np.bincount(heads, weights=terms, minlength=a.n)
-
-
-def apply(a: CubicalTensor, x: Sequence[complex]) -> list[complex]:
-    """The map F(x)_k = sum a_{k j_2 ... j_r} x_{j_2} ... x_{j_r} in floats."""
-    if len(x) != a.n:
-        raise ValueError(f"vector length {len(x)} != order n={a.n}")
-    xs = np.array([complex(v) for v in x])
-    return apply_array(a, xs).tolist()
-
-
-@np.errstate(over="ignore", invalid="ignore")  # past the float range: refused below
-def eigen_residual(a: CubicalTensor, lam: complex, x: Sequence[complex]) -> float:
-    """Scaled worst-equation defect of (lam, x) under the eigenvalue equation.
-
-    Returns max_k |lam x_k^(r-1) - F(x)_k| / max(1, |lam| ||x||_inf^(r-1),
-    ||x||_inf^(r-1)).  A ValueError names the float range when
-    ||x||_inf^(r-1), or the defect of some equation, is past it.
-    """
-    xs = np.array([complex(v) for v in x])
-    if len(xs) != a.n:
-        raise ValueError(f"vector length {len(xs)} != order n={a.n}")
-    if not xs.any():
-        raise ValueError("eigenvector must be nonzero")
-    lam = complex(lam)
-    p = a.r - 1
-    xmax = float(np.abs(xs).max())
-    num = float(np.abs(lam * xs ** p - apply_array(a, xs)).max())
-    try:
-        xinf = xmax ** p
-    except OverflowError:
-        xinf = inf
-    if xinf == inf:
-        raise ValueError(f"the largest |x_k|, {xmax!r}, to the power r - 1 = {p} "
-                         "is past the float range")
-    if not num < inf:  # nan fails too
-        raise ValueError("lam x_k^(r-1) - F(x)_k is past the float range for some k")
-    den = max(1.0, abs(lam) * xinf, xinf)
-    return num / den
-
-
-def polynomial_form(a: CubicalTensor, x: Sequence[float]) -> float:
-    """The homogeneous form sum a_{j_1...j_r} x_{j_1} ... x_{j_r} (real input)."""
-    if not a.is_real():
-        raise ValueError("polynomial form is defined for real tensors only")
-    if len(x) != a.n:
-        raise ValueError(f"vector length {len(x)} != order n={a.n}")
-    xs = np.array([float(v) for v in x])
-    # sum over j_1 of x_{j_1} F(x)_{j_1}
-    return float(xs @ apply_array(a, xs))
 
 
 def digraph(a: CubicalTensor) -> dict[int, set[int]]:

@@ -280,6 +280,18 @@ class TestConvertCertificate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("r", [6, 8])
+    def test_coloring_with_a_sum_other_than_half_r_exit_3(self, tmp_path, r):
+        # the one edge sums to 1: nonzero mod r, but not r/2.  At r = 6 the
+        # coloring check refuses it; at r = 8 the r = 2 (mod 4) test does too
+        path = write_fixture(tmp_path, "edge-r", r=r)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"kind": "odd-coloring", "r": r, "phi": [1] + [0] * (r - 1)}))
+        code, data = run(
+            tmp_path, "convert-certificate", "--input", path, "--cert", str(cert)
+        )
+        assert code == 3 and data is None
+
     def test_unknown_kind_exit_2(self, tmp_path):
         path = write_fixture(tmp_path, "edge-r", r=4)
         cert = tmp_path / "cert.json"

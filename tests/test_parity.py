@@ -320,6 +320,16 @@ class TestVerifyCertificate:
         assert not verify_certificate(g, OddTransversal(n=4, vertices=(1, 2)))
         assert verify_certificate(g, OddTransversal(n=4, vertices=(1,)))
 
+    @pytest.mark.parametrize("r", [6, 8])
+    def test_rejects_nonzero_sums_other_than_half_r(self, r):
+        # phi = (1, 0, ..., 0) sums to 1 on the one edge: nonzero mod r, but not r/2
+        g = fixture("edge-r", r=r)
+        phi = OddColoring(r=r, phi=(1,) + (0,) * (r - 1))
+        assert not verify_certificate(g, phi)
+        with pytest.raises(ValueError, match="does not verify"):
+            hs.negation_map_from_coloring(phi, g)
+        assert verify_certificate(g, OddColoring(r=r, phi=(r // 2,) + (0,) * (r - 1)))
+
     def test_odd_r_coloring_verification_undefined(self):
         g = Hypergraph(3, 3, [(1, 2, 3)])
         with pytest.raises(OddColoringUndefinedError):

@@ -38,8 +38,7 @@ from hypersym import (
     polynomial_form,
     spectral_radius_power,
 )
-from hypersym.spectra import _power, _r_norm
-from hypersym.tensor import to_float
+from hypersym.floatpath import _power, _r_norm, to_float
 
 from conftest import random_graph_with_odd_transversal, random_symmetric_tensor
 
@@ -323,6 +322,8 @@ def test_r_norm_is_numpys_norm_bit_for_bit(r):
 # up, multiplied the shift in and took abs before the r-th powers.  Each
 # floating-point operation is the same and runs in the same order, so
 # `_power` must return the same floats, and raise with the same bracket.
+# The stall rule has its own literals here, so that a change to the module's
+# stall constants changes where `_power` stops and shows.
 
 def _reference_r_norm(x: np.ndarray, r: int) -> np.floating:
     if r == 2:
@@ -380,11 +381,11 @@ def _reference_power(a, tol, max_iter):
         x_new /= norm
         if hi - lo < width:
             width, stalled = hi - lo, 0
-        elif np.abs(x_new - x).max() <= hs.spectra._STALL_STEP * x.max():
+        elif np.abs(x_new - x).max() <= 2.0 ** 10 * float(np.finfo(float).eps) * x.max():
             stalled += 1
         else:
             stalled = 0
-        if width <= tol or stalled == hs.spectra._STALL_ITERATIONS:
+        if width <= tol or stalled == 3:
             return 0.5 * lo + 0.5 * hi, x  # 0.5 * (lo + hi) unless lo + hi overflows
         x = x_new
     raise ConvergenceError(lo, hi, max_iter)
@@ -494,8 +495,12 @@ class TestPowerStepOracle:
         [((1, 1), 2e307), ((1, 2), 4e307), ((2, 1), 4e307)],
         # rho = 1e308 is finite, though lo + hi is not
         [((1, 2), 1e308), ((2, 1), 1e308)],
+        # rho ~ 4.1e7: the bracket cannot narrow to tol = 1e-10, and the run
+        # stops by stalling after 139 steps (138 with a stall count of 2)
+        [((1, 2), 10**7), ((2, 1), 10**7), ((2, 3), 2 * 10**7), ((3, 2), 2 * 10**7),
+         ((1, 3), 3 * 10**7), ((3, 1), 3 * 10**7)],
     ], ids=["small-values", "first-bracket-overflows", "iterate-norm-overflows",
-            "bracket-sum-overflows"])
+            "bracket-sum-overflows", "stops-by-stalling"])
     def test_near_the_float_limits(self, items):
         n = max(max(i) for i, _ in items)
         assert_same_floats(CubicalTensor(2, n, items))
@@ -508,7 +513,7 @@ class TestPowerStepOracle:
         im = np.array(data.draw(st.lists(parts, min_size=a.n, max_size=a.n)))
         with np.errstate(over="ignore", invalid="ignore"):
             for x in (re, re + 1j * im):
-                assert np.array_equal(hs.tensor.apply_array(a, x), _reference_apply(a, x),
+                assert np.array_equal(hs.floatpath.apply_array(a, x), _reference_apply(a, x),
                                       equal_nan=True)
 
 
@@ -528,6 +533,15 @@ class TestNegationMaps:
         nmap = negation_map_from_coloring(phi, a)
         for d, residue in zip(nmap.diag, phi.phi):
             assert d == pytest.approx(cmath.exp(2j * math.pi * residue / phi.r))
+
+    def test_complex_map_makes_general_pairs(self):
+        # prop4-k1's r = 4 coloring gives diag in {1, i}: the image of its real
+        # Perron H-pair has complex entries
+        g = fixture("prop4-k1")
+        rep = check_symmetric_spectrum_certified(g)
+        (w,) = rep.witness_pairs
+        assert set(negation_map_from_coloring(rep.certificate, g).diag) == {1, 1j}
+        assert w.plus.kind == "H" and w.minus.kind == "general"
 
     def test_transversal_map_literal_signs(self):
         g = Hypergraph(4, 4, [(1, 2, 3, 4)])

@@ -1,7 +1,8 @@
-"""tools/compare_stdout.py on a smoke-size benchmark input directory."""
+"""tools/compare_stdout.py on a smoke-size benchmark input directory, and tools/mutants.py's list."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -162,3 +163,20 @@ def test_contract_jobs_verify_rhos_pairs_and_refused_pairs(contract):
                if job["verb"] == "verify-eigenpair" and "pair_from" not in job]
     assert refused == ["verify-eigenpair:order6-lambda-3-parts", "verify-eigenpair:order6-x-bool",
                        "verify-eigenpair:order6-no-residual", "verify-eigenpair:order6-x-short"]
+
+
+def _mutants() -> tuple:
+    spec = importlib.util.spec_from_file_location("mutants", os.path.join(ROOT, "tools", "mutants.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+@pytest.mark.parametrize("mutant", _mutants(), ids=lambda m: m.name)
+def test_each_mutant_names_one_place_and_a_test(mutant):
+    # the mutation runs stay out of tier-1; this keeps their list from going stale
+    with open(os.path.join(ROOT, mutant.path), encoding="utf-8") as fh:
+        assert fh.read().count(mutant.old) == 1
+    test_file, *names = mutant.kill.split("::")
+    with open(os.path.join(ROOT, test_file), encoding="utf-8") as fh:
+        assert f"def {names[-1].split('[')[0]}(" in fh.read()
